@@ -22,9 +22,8 @@ def run_variant(double_buffer: bool):
             num_blocks=20, double_buffer=double_buffer
         ),
     )
-    machine = Machine(scale=workload.sim_scale)
-    run = workload.run("opt", machine=machine)
-    return run.time, machine.device_memory.peak
+    run = workload.run("opt", machine=Machine(scale=workload.sim_scale))
+    return run.time, run.stats.device_peak_bytes
 
 
 def test_double_buffer_memory_vs_time(benchmark):

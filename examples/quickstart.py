@@ -69,8 +69,8 @@ def main() -> None:
     )
 
     t0, t1 = baseline.stats.total_time, streamed.stats.total_time
-    m0 = baseline_machine.device_memory.peak
-    m1 = streamed_machine.device_memory.peak
+    m0 = baseline.stats.device_peak_bytes
+    m1 = streamed.stats.device_peak_bytes
     print("=== simulated execution (paper-scale input) ===")
     print(f"unoptimized offload : {t0 * 1000:8.2f} ms, "
           f"device peak {m0 / 2**20:7.1f} MiB")

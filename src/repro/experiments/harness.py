@@ -132,8 +132,6 @@ class SuiteRunner:
         tracer = None
         if self.tracer_factory is not None:
             tracer = self.tracer_factory(name, variant)
-        if tracer is None and self.devices <= 1:
-            return None
         return workload.machine(tracer=tracer, devices=self.devices)
 
     # -- standard variants ---------------------------------------------------
@@ -186,13 +184,8 @@ class SuiteRunner:
                 )
             overrides = ISOLATION_PLANS[optimization]
             workload.plan = dataclasses.replace(workload.plan, **overrides)
-            # Isolation runs stay untraced; only fleet sizing forces a
-            # machine here.
-            machine = (
-                workload.machine(devices=self.devices)
-                if self.devices > 1
-                else None
-            )
+            # Isolation runs stay untraced.
+            machine = workload.machine(devices=self.devices)
             return workload.run("opt", machine=machine, engine=self.engine)
 
         return self._store.get_or_compute(key, compute)

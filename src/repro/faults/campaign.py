@@ -185,7 +185,7 @@ def _baseline(name, seed, variant, engine, devices=1):
     hit = _BASELINE_MEMO.get(key)
     if hit is None:
         workload = get_workload(name, seed=seed)
-        machine = workload.machine(devices=devices) if devices > 1 else None
+        machine = workload.machine(devices=devices)
         hit = workload.run(variant, machine=machine, engine=engine)
         _BASELINE_MEMO[key] = hit
     return hit
@@ -269,6 +269,12 @@ def validate_campaign_config(
                 f"the campaign runs {devices} device(s) (numbered dev0.."
                 f"dev{devices - 1}); raise --devices or drop the key"
             )
+        if dev_index is not None and devices == 1:
+            raise ValueError(
+                f"fault rate key {key!r} is scoped to dev{dev_index}, but a "
+                f"one-card run draws its faults without a device index; "
+                f"drop the 'dev{dev_index}:' prefix and write {rest!r}"
+            )
         if (
             site == "device"
             and rates[key] > 0.0
@@ -316,7 +322,8 @@ def run_campaign(
 
     *devices* > 1 runs every scenario (and its baseline) on a simulated
     multi-card fleet with device-loss failover; device-scoped rate keys
-    (``dev0:device``) are validated against the fleet size up front.
+    (``dev0:device``) are validated against the fleet size up front, and
+    rejected on one card, whose draws carry no device index.
 
     *jobs* > 1 fans scenario cells out over a process pool.  Every
     cell's fault plan is seeded by :func:`scenario_seed` — a pure

@@ -31,8 +31,8 @@ class FaultInjector:
     def draw(self, site: str, device: Optional[int] = None) -> Optional[Fault]:
         """The fault (if any) for the next operation at *site*.
 
-        *device* scopes the draw to one fleet device's stream; a
-        single-device runtime passes nothing.
+        *device* scopes the draw to one fleet device's stream; the lone
+        card of a one-card machine passes nothing.
         """
         if self._suspend:
             return None

@@ -365,8 +365,8 @@ class FaultPlan:
     def draw(self, site: str, device: Optional[int] = None) -> Optional[Fault]:
         """The fault (if any) hitting the next operation at *site*.
 
-        *device* is the fleet device index issuing the operation; a
-        single-device runtime passes nothing and the draw is
+        *device* is the fleet device index issuing the operation; the
+        lone card of a one-card machine passes nothing and the draw is
         bit-identical to the pre-fleet behavior.  The global per-site
         counter advances on every draw regardless of device (so
         :meth:`operations` and un-scoped scripted specs keep their

@@ -41,8 +41,9 @@ class DeviceMemoryManager:
     injector: Optional[object] = None
     #: Full device resets this manager has been wiped by.
     device_resets: int = 0
-    #: Fleet device index this manager belongs to; ``None`` for the
-    #: single-device runtime (keeps its draws on the legacy stream).
+    #: Fault-stream index of the card this manager belongs to, carried
+    #: by its ``alloc`` draws; ``None`` for the lone card of a one-card
+    #: machine, which draws from the device-less stream.
     device_index: Optional[int] = None
 
     def allocate(self, name: str, nbytes: float) -> Allocation:

@@ -170,7 +170,7 @@ class ArenaAllocator:
                 continue
             nbytes = self._copied_nbytes.get(buf.bid, buf.size)
             mic_base = _MIC_REGION_BASE + buf.bid * _CPU_REGION_STRIDE
-            coi.device_memory.allocate(f"arena:{buf.bid}", nbytes)
+            coi.fleet.allocate(f"arena:{buf.bid}", nbytes)
             coi.raw_transfer(
                 nbytes, to_device=True, label=f"arena:{buf.bid}~rebuild"
             )
@@ -191,7 +191,7 @@ class ArenaAllocator:
         A genuine capacity OOM still propagates — arena buffers cannot be
         streamed, so there is no demotion path for them."""
         try:
-            coi.device_memory.allocate(name, nbytes)
+            coi.fleet.allocate(name, nbytes)
         except DeviceOutOfMemory as exc:
             if not exc.injected or coi.resilience is None:
                 raise
@@ -203,13 +203,13 @@ class ArenaAllocator:
                 stats.retries += 1
                 stats.record_action("alloc", "retry")
             with coi.injector_suspended():
-                coi.device_memory.allocate(name, nbytes)
+                coi.fleet.allocate(name, nbytes)
 
     def free_on_device(self, coi: CoiRuntime) -> None:
         """Release the device copies of every buffer."""
         for buf in self.buffers:
             if buf.bid in self._copied_bids:
-                coi.device_memory.free(f"arena:{buf.bid}")
+                coi.fleet.free(f"arena:{buf.bid}")
         self._copied_bids.clear()
         self._copied_nbytes.clear()
 

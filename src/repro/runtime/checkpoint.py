@@ -23,12 +23,14 @@ shadows the COI runtime's buffer bookkeeping:
   ``checkpoint_interval``-th block commits a checkpoint (costing
   ``checkpoint_cost`` simulated seconds of host time).
 
-On a reset the manager restores the session: charge the detection +
-re-init dead time, wipe the device, re-open the epoch, re-upload only
-the live write windows, rebuild registered arenas (re-deriving their
-augmented-pointer deltas), and re-charge the kernel time of blocks
-completed since the last committed checkpoint.  Recovery runs with
-injection suspended — it cannot recursively fault.
+On a reset of a lone card (a fleet of several cards fails over to a
+survivor instead, see :mod:`repro.runtime.fleet`) the manager restores
+the session in place: charge the detection + re-init dead time, wipe
+the device, re-open the epoch, re-upload only the live write windows,
+rebuild registered arenas (re-deriving their augmented-pointer deltas),
+and re-charge the kernel time of blocks completed since the last
+committed checkpoint.  Recovery runs with injection suspended — it
+cannot recursively fault.
 
 Correctness and timing stay decoupled, as everywhere in the simulator:
 data movement is eager numpy in program order, so the *values* lost in
@@ -48,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import DeviceLost
 from repro.hardware.device import RESET_SEMANTICS
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.coi import DEVICE, HOST, CoiRuntime
+from repro.runtime.coi import HOST, CoiRuntime
 
 
 @dataclass
@@ -93,9 +95,9 @@ class CheckpointManager:
         self._arenas: List[object] = []
         #: Kernel seconds of blocks completed since the last commit —
         #: the work a reset forces the device to redo.  Each entry is
-        #: ``(device_id, seconds)``; ``device_id`` is None outside a
-        #: fleet, and lets a failover pull only the *lost* card's blocks.
-        self._uncommitted: List[Tuple[Optional[str], float]] = []
+        #: ``(device_id, seconds)``; the card's id lets a failover pull
+        #: only the *lost* card's blocks.
+        self._uncommitted: List[Tuple[str, float]] = []
         #: Persistent-session keys seen since the last commit, so the
         #: restore knows which thread-reuse sessions to re-prime.
         self._sessions: Dict[str, int] = {}
@@ -140,11 +142,11 @@ class CheckpointManager:
 
         The fleet's failover path uses this to re-upload only the write
         windows the host is authoritative for, exactly like the
-        single-device restore below.
+        lone-card restore below.
         """
         return self._buffers.get(name)
 
-    def take_uncommitted(self, device_id: Optional[str]) -> List[Tuple[Optional[str], float]]:
+    def take_uncommitted(self, device_id: str) -> List[Tuple[str, float]]:
         """Pop the uncommitted entries charged to *device_id*.
 
         The fleet failover re-executes only the lost card's blocks on a
@@ -165,7 +167,8 @@ class CheckpointManager:
     ) -> None:
         """One offload block finished; commit if the interval says so."""
         self.blocks_completed += 1
-        self._uncommitted.append((coi.active_device_id, float(kernel_seconds)))
+        card = coi.fleet.current()
+        self._uncommitted.append((card.device_id, float(kernel_seconds)))
         if session is not None:
             self._sessions[session] = self.blocks_completed
         interval = self.policy.checkpoint_interval
@@ -224,6 +227,7 @@ class CheckpointManager:
             )
         started = coi.clock.now
         tracer = self.tracer
+        track = coi.fleet.current().compute_track
 
         # 1. Dead time: watchdog detection + driver/thread-pool re-init.
         threads = coi.spec.mic.threads_used
@@ -243,7 +247,7 @@ class CheckpointManager:
         scalars_snapshot = dict(coi.device.scalars)
         if tracer.enabled:
             tracer.instant(
-                "device:reset", coi.clock.now, track=DEVICE,
+                "device:reset", coi.clock.now, track=track,
                 epoch=coi.epoch, buffers_lost=len(arrays_snapshot),
             )
         coi.reset_device()
@@ -258,7 +262,7 @@ class CheckpointManager:
         with coi.injector_suspended():
             events = []
             for name, record in self._buffers.items():
-                coi.device_memory.allocate(name, record.charged_nbytes)
+                coi.fleet.allocate(name, record.charged_nbytes)
                 for (start, count), nbytes in record.writes.items():
                     events.append(
                         coi.raw_transfer(
@@ -283,7 +287,7 @@ class CheckpointManager:
             redo_seconds = sum(seconds for _, seconds in self._uncommitted)
             if redo_seconds > 0.0:
                 redo = coi.timeline.schedule(
-                    DEVICE, redo_seconds, label="ckpt:replay",
+                    track, redo_seconds, label="ckpt:replay",
                     not_before=coi.clock.now,
                 )
                 coi.clock.wait_until(redo)
@@ -309,7 +313,7 @@ class CheckpointManager:
 
         if tracer.enabled:
             tracer.span(
-                "recovery:device-reset", DEVICE, started, coi.clock.now,
+                "recovery:device-reset", track, started, coi.clock.now,
                 epoch=coi.epoch, buffers_reuploaded=reuploaded,
                 blocks_recomputed=recomputed, overhead=overhead,
             )

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import OffloadTimeout, RuntimeFault
 from repro.hardware.event_sim import Clock, Event, Timeline
-from repro.hardware.memory import DeviceMemoryManager
 from repro.hardware.pcie import dma_transfer_time, transfer_breakdown
 from repro.hardware.spec import MachineSpec
 from repro.obs.tracer import NULL_TRACER
@@ -58,7 +57,6 @@ class CoiRuntime:
         spec: MachineSpec,
         timeline: Timeline,
         clock: Clock,
-        device_memory: DeviceMemoryManager,
         host: HostSpace,
         device: DeviceSpace,
         scale: float = 1.0,
@@ -67,7 +65,6 @@ class CoiRuntime:
         self.spec = spec
         self.timeline = timeline
         self.clock = clock
-        self.device_memory = device_memory
         self.host = host
         self.device = device
         self.scale = scale
@@ -94,9 +91,9 @@ class CoiRuntime:
         #: fault plan or a verifying ``integrity_mode`` is configured).
         #: None ⇒ no silent-corruption injection and no verification.
         self.integrity = None
-        #: Optional :class:`~repro.runtime.fleet.DeviceFleet` (attached by
-        #: the Machine when ``devices > 1``).  None ⇒ the single-device
-        #: code paths run unchanged, bit for bit.
+        #: The :class:`~repro.runtime.fleet.DeviceFleet` whose cards own
+        #: device memory, compute lanes and DMA channels; attached by the
+        #: Machine.  A one-card machine is a fleet of one.
         self.fleet = None
         #: True once every fleet device has been evicted and the policy's
         #: host fallback took over: data ops stay eager (correctness) but
@@ -106,55 +103,19 @@ class CoiRuntime:
 
     # -- fleet routing -------------------------------------------------------
 
-    @property
-    def active_device_index(self) -> Optional[int]:
-        """Index of the device executing the current block (fleet only)."""
-        if self.fleet is not None and self.fleet.active is not None:
-            return self.fleet.active.index
-        return None
-
-    @property
-    def active_device_id(self) -> Optional[str]:
-        """``devK`` id of the device executing the current block."""
-        if self.fleet is not None and self.fleet.active is not None:
-            return self.fleet.active.device_id
-        return None
-
     def device_index_of(self, name: str) -> Optional[int]:
-        """Index of the device owning buffer *name* (None single-device)."""
-        if self.fleet is None:
-            return None
-        owner = self.fleet.owner_of(name)
-        return None if owner is None else owner.index
+        """Fault-stream index of the card owning buffer *name*.
 
-    def active_memory(self) -> DeviceMemoryManager:
-        """The memory manager device-side allocations currently land in."""
-        if self.fleet is None:
-            return self.device_memory
-        if self.fleet.active is not None:
-            return self.fleet.active.memory
-        healthy = self.fleet.healthy_devices()
-        return (healthy[0] if healthy else self.fleet.devices[0]).memory
+        None when the buffer is unplaced, and always on a lone card.
+        """
+        owner = self.fleet.owner_of(name)
+        return None if owner is None else owner.stream
 
     def resident_device_bytes(self) -> int:
-        """Simulated bytes resident device-side (whole fleet when present)."""
+        """Simulated bytes resident device-side, across the fleet."""
         if self.fallback_mode:
             return 0
-        if self.fleet is not None:
-            return self.fleet.resident_bytes()
-        return self.device_memory.resident_bytes()
-
-    def _device_track(self) -> str:
-        """Compute track of the device executing the current block."""
-        if self.fleet is not None and self.fleet.active is not None:
-            return self.fleet.active.compute_track
-        return DEVICE
-
-    def _scoped_persistent_key(self, key: Optional[str]) -> Optional[str]:
-        """Persistent sessions live on one card: scope the key to it."""
-        if key is None or self.fleet is None or self.fleet.active is None:
-            return key
-        return f"{self.fleet.active.device_id}:{key}"
+        return self.fleet.resident_bytes()
 
     @property
     def live_persistent_sessions(self) -> int:
@@ -203,14 +164,10 @@ class CoiRuntime:
         """
         itemsize = np.dtype(dtype).itemsize
         charged = count if account_elems is None else min(account_elems, count)
-        if self.fallback_mode:
-            pass  # no device memory left to charge; host arrays only
-        elif self.fleet is not None:
-            owner = self.fleet.device_for_alloc(name)
-            owner.memory.allocate(name, charged * itemsize)
-            self.fleet.note_alloc(name, owner, charged * itemsize)
-        else:
-            self.device_memory.allocate(name, charged * itemsize)
+        # After fleet exhaustion there is no device memory left to
+        # charge: host arrays only.
+        if not self.fallback_mode:
+            self.fleet.allocate(name, charged * itemsize)
         existing = self.device.arrays.get(name)
         if existing is None or len(existing) < count or existing.dtype != dtype:
             if existing is not None and self.integrity is not None:
@@ -224,27 +181,17 @@ class CoiRuntime:
         if self.tracer.enabled:
             metrics = self.tracer.metrics
             metrics.counter("coi.allocations").inc()
-            if self.fleet is not None:
-                metrics.gauge("device.mem_in_use").set(self.fleet.resident_bytes())
-                metrics.gauge("device.mem_peak").set(self.fleet.peak_bytes())
-            else:
-                metrics.gauge("device.mem_in_use").set(self.device_memory.in_use)
-                metrics.gauge("device.mem_peak").set(self.device_memory.peak)
+            metrics.gauge("device.mem_in_use").set(self.fleet.resident_bytes())
+            metrics.gauge("device.mem_peak").set(self.fleet.peak_bytes())
         return self.device.arrays[name]
 
     def free_buffer(self, name: str) -> None:
         """Free the device buffer and its memory accounting."""
         if self.integrity is not None and name in self.device.arrays:
             self.integrity.on_free(self, name)
-        if self.fallback_mode:
-            pass  # device-side accounting already gone with the fleet
-        elif self.fleet is not None:
-            owner = self.fleet.owner_of(name)
-            if owner is not None and owner.memory.holds(name):
-                owner.memory.free(name)
-            self.fleet.note_free(name)
-        elif self.device_memory.holds(name):
-            self.device_memory.free(name)
+        # After fleet exhaustion the device-side accounting is gone.
+        if not self.fallback_mode:
+            self.fleet.free(name)
         self.device.arrays.pop(name, None)
         if self.checkpoint is not None:
             self.checkpoint.note_free(name)
@@ -399,19 +346,16 @@ class CoiRuntime:
         if self.fallback_mode:
             # Host-only: the eager copy above is the whole operation.
             return Event(self.clock.now, f"h2d:{dest}")
-        channel, device = DMA_TO_DEVICE, None
-        if self.fleet is not None:
-            owner = self.fleet.device_for_alloc(dest)
-            channel, device = owner.h2d_track, owner.index
+        owner = self.fleet.device_for_alloc(dest)
         nbytes = data.nbytes * self.scale
         event = self._dma_schedule(
-            channel,
+            owner.h2d_track,
             dma_transfer_time(nbytes, self.spec.pcie),
             deps=deps,
             label=f"h2d:{dest}",
             block=block,
             nbytes=nbytes,
-            device=device,
+            device=owner.stream,
         )
         self.stats.bytes_to_device += nbytes
         self.stats.transfers_to_device += 1
@@ -446,19 +390,16 @@ class CoiRuntime:
             self.integrity.on_read(self, src, src_start, count, into, into_start)
         if self.fallback_mode:
             return Event(self.clock.now, f"d2h:{src}")
-        channel, device = DMA_FROM_DEVICE, None
-        if self.fleet is not None:
-            owner = self.fleet.device_for_alloc(src)
-            channel, device = owner.d2h_track, owner.index
+        owner = self.fleet.device_for_alloc(src)
         nbytes = count * buf.dtype.itemsize * self.scale
         event = self._dma_schedule(
-            channel,
+            owner.d2h_track,
             dma_transfer_time(nbytes, self.spec.pcie),
             deps=deps,
             label=f"d2h:{src}",
             block=block,
             nbytes=nbytes,
-            device=device,
+            device=owner.stream,
         )
         self.stats.bytes_from_device += nbytes
         self.stats.transfers_from_device += 1
@@ -486,18 +427,15 @@ class CoiRuntime:
         Used by the shared-memory runtimes, whose data lives in arena /
         page objects rather than named numpy buffers, and by the recovery
         paths (*channel* pins the transfer to a specific fleet device's
-        DMA engine; by default it rides the active device's channel).
+        DMA engine; by default it rides the current card's channel).
         """
         if self.fallback_mode:
             return Event(self.clock.now, label)
         if channel is None:
-            if self.fleet is not None and self.fleet.active is not None:
-                active = self.fleet.active
-                channel = active.h2d_track if to_device else active.d2h_track
-                if device is None:
-                    device = active.index
-            else:
-                channel = DMA_TO_DEVICE if to_device else DMA_FROM_DEVICE
+            card = self.fleet.current()
+            channel = card.h2d_track if to_device else card.d2h_track
+            if device is None:
+                device = card.stream
         event = self._dma_schedule(
             channel,
             dma_transfer_time(nbytes * self.scale, self.spec.pcie),
@@ -536,15 +474,18 @@ class CoiRuntime:
         A fresh launch pays the LEO/COI kernel launch overhead K.  With a
         *persistent_key*, only the first launch pays K; subsequent work
         under the same key pays the much smaller signal overhead — the
-        thread-reuse optimization of Section III-C.  In a fleet the work
-        lands on the active device's own compute track, and persistent
-        sessions are scoped to that card (a session cannot follow a block
-        to a different device).
+        thread-reuse optimization of Section III-C.  The work lands on
+        the current card's compute track, and persistent sessions are
+        scoped to that card (a session cannot follow a block to a
+        different device).
         """
         if self.fallback_mode:
             return Event(self.clock.now, label)
-        track = self._device_track()
-        key = self._scoped_persistent_key(persistent_key)
+        card = self.fleet.current()
+        track = card.compute_track
+        key = None
+        if persistent_key is not None:
+            key = f"{card.device_id}:{persistent_key}"
         if self.injector is None:
             overhead = self._launch_overhead(key)
             self.stats.kernel_compute_seconds += duration
@@ -558,7 +499,7 @@ class CoiRuntime:
             if self.tracer.enabled:
                 self._trace_kernel(label, event, overhead, duration, track=track)
             return event
-        return self._launch_kernel_resilient(duration, deps, label, key, track)
+        return self._launch_kernel_resilient(duration, deps, label, key, card)
 
     def _launch_overhead(self, persistent_key: Optional[str]) -> float:
         """Overhead of the next launch, counted in the stats."""
@@ -583,8 +524,8 @@ class CoiRuntime:
         event: Event,
         overhead: float,
         duration: float,
+        track: str,
         status: str = "ok",
-        track: str = DEVICE,
     ) -> None:
         """Record one kernel occupancy as a device-track span."""
         total = overhead + duration
@@ -602,7 +543,7 @@ class CoiRuntime:
         deps: Iterable[Event],
         label: str,
         persistent_key: Optional[str],
-        track: str = DEVICE,
+        card,
     ) -> Event:
         """Launch under fault injection: crashes and hangs are retried.
 
@@ -615,10 +556,10 @@ class CoiRuntime:
         """
         policy = self.resilience
         stats = self.fault_stats
-        device = self.active_device_index
+        track = card.compute_track
         attempt = 0
         while True:
-            fault = self.injector.draw("kernel", device=device)
+            fault = self.injector.draw("kernel", device=card.stream)
             if fault is None:
                 overhead = self._launch_overhead(persistent_key)
                 self.stats.kernel_compute_seconds += duration
@@ -677,11 +618,9 @@ class CoiRuntime:
 
     def end_persistent(self, key: str) -> None:
         """Terminate a persistent kernel (next use pays a full launch)."""
-        self._persistent_live.discard(key)
-        if self.fleet is not None:
-            # The session may live on any card (scoped key).
-            for dev in self.fleet.devices:
-                self._persistent_live.discard(f"{dev.device_id}:{key}")
+        # The session may live on any card (scoped key).
+        for dev in self.fleet.devices:
+            self._persistent_live.discard(f"{dev.device_id}:{key}")
 
     # -- device reset -----------------------------------------------------------
 
@@ -699,13 +638,14 @@ class CoiRuntime:
         self.device.scalars.clear()
         self.signals.clear()
         self._persistent_live.clear()
-        self.device_memory.reset()
+        for dev in self.fleet.devices:
+            dev.memory.reset()
         self.epoch += 1
         if self.tracer.enabled:
             metrics = self.tracer.metrics
             metrics.counter("coi.device_resets").inc()
             metrics.gauge("coi.epoch").set(self.epoch)
-            metrics.gauge("device.mem_in_use").set(self.device_memory.in_use)
+            metrics.gauge("device.mem_in_use").set(self.fleet.resident_bytes())
 
     # -- signals -----------------------------------------------------------------
 

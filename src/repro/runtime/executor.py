@@ -53,7 +53,6 @@ from repro.analysis.symbols import sizeof_type
 from repro.analysis.vectorize import is_vectorizable
 from repro.hardware.device import ComputeDevice, OpCounters
 from repro.hardware.event_sim import Clock, Event, Timeline
-from repro.hardware.memory import DeviceMemoryManager
 from repro.hardware.spec import MachineSpec, paper_machine
 from repro.minic import ast_nodes as ast
 from repro.minic.parser import parse
@@ -63,7 +62,8 @@ from repro.obs.tracer import NULL_TRACER
 from repro.runtime import batch_exec
 from repro.runtime import codegen
 from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.coi import DEVICE, DMA_FROM_DEVICE, DMA_TO_DEVICE, CoiRuntime
+from repro.runtime.coi import CoiRuntime
+from repro.runtime.fleet import DeviceFleet
 from repro.runtime.integrity import IntegrityManager
 from repro.runtime.values import DeviceSpace, HostSpace
 
@@ -129,8 +129,9 @@ class Machine:
     #: stay bit-identical to uninstrumented ones.
     tracer: Optional[object] = None
     #: Number of coprocessor cards; None defers to ``spec.devices``.
-    #: With 1 (the default everywhere) no fleet is built and every
-    #: single-device code path runs unchanged, bit for bit.
+    #: Every machine runs on a :class:`~repro.runtime.fleet.DeviceFleet`;
+    #: with 1 (the default everywhere) it is a fleet of one, which keeps
+    #: the one-card lane names, fault streams and restart-in-place.
     devices: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -140,14 +141,12 @@ class Machine:
         self.device = DeviceSpace()
         if self.tracer is None:
             self.tracer = NULL_TRACER
-        self.device_memory = DeviceMemoryManager(
-            capacity=self.spec.mic.usable_memory, scale=self.scale
-        )
+        if self.devices is None:
+            self.devices = self.spec.devices
         self.coi = CoiRuntime(
             self.spec,
             self.timeline,
             self.clock,
-            self.device_memory,
             self.host,
             self.device,
             scale=self.scale,
@@ -161,12 +160,26 @@ class Machine:
         if self.resilience is not None:
             self.coi.resilience = self.resilience
             self.coi.fault_stats = self.fault_stats
+        self.fleet = DeviceFleet(
+            self.spec,
+            self.scale,
+            self.devices,
+            seed=None if self.fault_plan is None else self.fault_plan.seed,
+            policy=(
+                self.resilience if self.resilience is not None
+                else ResiliencePolicy()
+            ),
+            stats=self.fault_stats,
+            tracer=self.tracer,
+        )
+        self.coi.fleet = self.fleet
         if self.fault_plan is not None:
             injector = FaultInjector(self.fault_plan, self.fault_stats)
             injector.tracer = self.tracer
             injector.clock = self.clock
             self.coi.injector = injector
-            self.device_memory.injector = injector
+            for dev in self.fleet.devices:
+                dev.memory.injector = injector
         # Checkpoint/restart is opt-in via the policy: without it the
         # COI note hooks are never reached and a device reset is fatal.
         self.checkpoint = None
@@ -189,36 +202,26 @@ class Machine:
                 tracer=self.tracer,
             )
             self.coi.integrity = self.integrity
-        # Multi-device fleet: only built above 1 card, so single-device
-        # runs keep the legacy runtime objects untouched.
-        if self.devices is None:
-            self.devices = self.spec.devices
-        if self.devices < 1:
-            raise ValueError(f"device count must be >= 1, got {self.devices}")
-        self.fleet = None
-        if self.devices > 1:
-            from repro.runtime.fleet import DeviceFleet
-
-            self.fleet = DeviceFleet(
-                self.spec,
-                self.scale,
-                self.devices,
-                seed=None if self.fault_plan is None else self.fault_plan.seed,
-                policy=(
-                    self.resilience if self.resilience is not None
-                    else ResiliencePolicy()
-                ),
-                stats=self.fault_stats,
-                tracer=self.tracer,
-            )
-            self.coi.fleet = self.fleet
-            if self.coi.injector is not None:
-                for dev in self.fleet.devices:
-                    dev.memory.injector = self.coi.injector
         # Shared-memory runtimes for programs using the Section V
         # allocation intrinsics, created lazily.
         self._myo = None
         self._arena = None
+
+    def device_stats(self) -> dict:
+        """The fleet-wide device fields of :class:`ExecutionStats`.
+
+        Each card has its own compute lane and DMA engines, so busy
+        times sum over the cards, as does the memory peak.
+        """
+        busy = self.timeline.busy_time
+        cards = self.fleet.devices
+        return dict(
+            device_busy_time=sum(busy(d.compute_track) for d in cards),
+            transfer_to_device_time=sum(busy(d.h2d_track) for d in cards),
+            transfer_from_device_time=sum(busy(d.d2h_track) for d in cards),
+            device_peak_bytes=self.fleet.peak_bytes(),
+            devices=self.devices,
+        )
 
     def finalize_integrity(self) -> None:
         """Run the integrity layer's end-of-run sweep (idempotent).
@@ -655,43 +658,20 @@ class Executor:
         machine = self.machine
         coi = machine.coi
         timeline = machine.timeline
-        fleet = machine.fleet
-        if fleet is None:
-            device_busy = timeline.busy_time(DEVICE)
-            h2d_time = timeline.busy_time(DMA_TO_DEVICE)
-            d2h_time = timeline.busy_time(DMA_FROM_DEVICE)
-            device_peak = machine.device_memory.peak
-        else:
-            # Per-card tracks: busy times sum (each card has its own
-            # compute lane and DMA engines), as does the memory peak.
-            device_busy = sum(
-                timeline.busy_time(d.compute_track) for d in fleet.devices
-            )
-            h2d_time = sum(
-                timeline.busy_time(d.h2d_track) for d in fleet.devices
-            )
-            d2h_time = sum(
-                timeline.busy_time(d.d2h_track) for d in fleet.devices
-            )
-            device_peak = fleet.peak_bytes()
         return ExecutionStats(
             # Asynchronous tails (pipelined regularization, unwaited
             # transfers) bound completion even when the host got ahead.
             total_time=max(machine.clock.now, timeline.finish_time()),
             host_compute_time=timeline.busy_time("cpu")
             + self._host_seconds_total,
-            device_busy_time=device_busy,
             device_compute_time=coi.stats.kernel_compute_seconds,
-            transfer_to_device_time=h2d_time,
-            transfer_from_device_time=d2h_time,
             bytes_to_device=coi.stats.bytes_to_device,
             bytes_from_device=coi.stats.bytes_from_device,
             kernel_launches=coi.stats.kernel_launches,
             kernel_signals=coi.stats.kernel_signals,
             offload_count=self._offload_count,
-            device_peak_bytes=device_peak,
-            devices=machine.devices,
             ops=self._ops_total.copy(),
+            **machine.device_stats(),
         )
 
     _host_seconds_total: float = 0.0
@@ -1091,24 +1071,21 @@ class Executor:
         fleet = self.machine.fleet
 
         # Fleet sharding: deal this block to a healthy card (probing
-        # quarantined ones first).  None ⇒ every card is gone.
-        if fleet is not None and not coi.fallback_mode:
-            if fleet.begin_block(coi) is None:
-                self._fleet_exhausted()
+        # quarantined ones first).
+        self._deal_block()
 
         # The device site is consulted once per offload entry — the one
         # boundary where all device state is quiescent, so a full reset
         # can be recovered without tearing a transfer or kernel in half.
-        # In a fleet the draw rides the *assigned* card's stream; after a
-        # loss the block is re-dealt without a second draw (one consult
-        # per offload entry, same as single-device).
+        # The draw rides the *assigned* card's stream.  A failover
+        # re-deals the block without a second draw (one consult per
+        # offload entry); a lone card restarts in place and keeps it.
         if coi.injector is not None:
-            reset = coi.injector.draw("device", device=coi.active_device_index)
+            reset = coi.injector.draw("device", device=fleet.current().stream)
             if reset is not None:
-                self._recover_device_reset(reset)
-                if fleet is not None and not coi.fallback_mode:
-                    if fleet.begin_block(coi) is None:
-                        self._fleet_exhausted()
+                fleet.handle_device_loss(coi, reset)
+                if fleet.active is None:
+                    self._deal_block()
         integrity = coi.integrity
         if integrity is not None:
             integrity.maybe_scrub(coi)
@@ -1237,36 +1214,15 @@ class Executor:
 
     # -- fault recovery ---------------------------------------------------------------------------
 
-    def _recover_device_reset(self, fault) -> None:
-        """Survive a full device reset drawn at offload entry.
+    def _deal_block(self) -> None:
+        """Assign the current offload block to a card.
 
-        With checkpoint/restart enabled on the policy, the checkpoint
-        manager restores the session (re-upload live blocks, rebuild
-        arenas, re-charge uncommitted kernel work) and execution resumes
-        as if the reset were a very expensive stall.  Without it there
-        is nothing to resume from: the device state is gone and the run
-        dies with :class:`~repro.errors.DeviceLost`.
+        Nothing is dealt once the run fell back to the host; a fleet
+        with no card left to deal to is exhausted.
         """
         coi = self.machine.coi
-        fleet = self.machine.fleet
-        if fleet is not None:
-            # A fleet absorbs the loss: quarantine/evict the card and
-            # redistribute its blocks to the survivors.  Exhaustion is
-            # decided at the next begin_block, not here.
-            fleet.handle_device_loss(coi, fault)
-            return
-        manager = coi.checkpoint
-        stats = coi.fault_stats
-        if manager is None:
-            if stats is not None:
-                stats.device_resets += 1
-            raise DeviceLost(
-                f"device reset at offload #{self._offload_count - 1} with "
-                f"checkpointing disabled; set "
-                f"ResiliencePolicy.checkpoint_interval > 0 to make "
-                f"streamed offloads resumable"
-            )
-        manager.handle_reset(coi, fault)
+        if not coi.fallback_mode and self.machine.fleet.begin_block(coi) is None:
+            self._fleet_exhausted()
 
     def _fleet_exhausted(self) -> None:
         """Every fleet card is evicted: host fallback or give up.
@@ -1488,7 +1444,7 @@ class Executor:
                     clause.var, value if value is not None else 0
                 )
         # Drop whatever the failed full-size attempt left allocated.
-        mem = coi.active_memory()
+        mem = self.machine.fleet.current().memory
         for clause, value in array_clauses:
             if mem.holds(clause.var):
                 coi.free_buffer(clause.var)

@@ -31,7 +31,7 @@ failover layer:
   over the survivors.  With a :class:`~repro.runtime.checkpoint
   .CheckpointManager` attached, only the *live write windows* its shadow
   records for those buffers are re-uploaded (the same bookkeeping the
-  single-device restart path uses); without one the full charged
+  lone-card restart path uses); without one the full charged
   footprint is conservatively re-sent.  Kernel seconds of the lost
   device's blocks completed since the last commit are re-executed on a
   survivor's compute track.  All of it is charged to the simulated
@@ -46,6 +46,17 @@ unaffected; the fallback time is charged per offload).  Quarantine alone
 can never wedge a run: when no healthy device exists but non-evicted
 quarantined ones do, the least-failed card is force-readmitted (its
 probe cost still charged).
+
+A single card is a fleet of one, and this module is the one place that
+decides how a lone card differs from a card among peers:
+
+* its lanes are unprefixed (``mic``, ``dma:h2d``, ``dma:d2h``), so
+  one-card traces name the paper's single coprocessor;
+* its fault draws carry no device index, so a one-card run keeps the
+  device-less fault streams;
+* a device loss has no survivor to fail over to, so the card restarts
+  in place from the checkpoint (or the run dies with
+  :class:`~repro.errors.DeviceLost` when checkpointing is off).
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.errors import DeviceLost
 from repro.hardware.device import (
     PROBE_SEMANTICS,
     RESET_SEMANTICS,
@@ -76,6 +88,8 @@ class FleetDevice:
     def __init__(self, index: int, spec, scale: float):
         self.index = index
         self.device_id = f"dev{index}"
+        #: Fault-stream index this card's draws carry.
+        self.stream: Optional[int] = index
         self.memory = DeviceMemoryManager(
             capacity=spec.mic.usable_memory, scale=scale, device_index=index
         )
@@ -89,6 +103,19 @@ class FleetDevice:
         self.compute_track = f"{self.device_id}:{DEVICE}"
         self.h2d_track = f"{self.device_id}:{DMA_TO_DEVICE}"
         self.d2h_track = f"{self.device_id}:{DMA_FROM_DEVICE}"
+
+    def make_lone(self) -> None:
+        """Turn this card into the only card of a fleet of one.
+
+        A lone card is the one-card machine: its lanes drop the ``devK:``
+        prefix and its draws (memory allocations included) use the
+        device-less fault streams.
+        """
+        self.stream = None
+        self.memory.device_index = None
+        self.compute_track = DEVICE
+        self.h2d_track = DMA_TO_DEVICE
+        self.d2h_track = DMA_FROM_DEVICE
 
 
 class DeviceFleet:
@@ -105,11 +132,8 @@ class DeviceFleet:
         tracer=None,
         probe: ProbeSemantics = PROBE_SEMANTICS,
     ):
-        if count < 2:
-            raise ValueError(
-                f"a fleet needs at least 2 devices, got {count}; "
-                f"single-device runs use the legacy runtime unchanged"
-            )
+        if count < 1:
+            raise ValueError(f"device count must be >= 1, got {count}")
         self.spec = spec
         self.policy = policy
         self.stats = stats
@@ -118,6 +142,8 @@ class DeviceFleet:
         self.devices: List[FleetDevice] = [
             FleetDevice(i, spec, scale) for i in range(count)
         ]
+        if count == 1:
+            self.devices[0].make_lone()
         self.seed = seed
         self._probe_rngs: Dict[int, np.random.Generator] = {}
         #: Buffer name → owning device index (placement map).
@@ -244,21 +270,40 @@ class DeviceFleet:
 
     # -- placement bookkeeping -------------------------------------------------
 
-    def device_for_alloc(self, name: str) -> FleetDevice:
-        """The device buffer *name* lives (or will live) on.
+    def current(self) -> FleetDevice:
+        """The card unplaced work lands on.
 
-        Existing placement wins — a buffer's DMA always rides its
-        owner's channel.  New buffers land on the active device (the one
-        executing the current block); outside any block they land on the
-        first healthy device.
+        That is the active device (the one executing the current block);
+        outside any block it is the first healthy device.
         """
-        owner = self.placement.get(name)
-        if owner is not None:
-            return self.devices[owner]
         if self.active is not None and self.active.health.healthy:
             return self.active
         healthy = self.healthy_devices()
         return healthy[0] if healthy else self.devices[0]
+
+    def device_for_alloc(self, name: str) -> FleetDevice:
+        """The device buffer *name* lives (or will live) on.
+
+        Existing placement wins — a buffer's DMA always rides its
+        owner's channel.  New buffers land on the :meth:`current` card.
+        """
+        owner = self.placement.get(name)
+        if owner is not None:
+            return self.devices[owner]
+        return self.current()
+
+    def allocate(self, name: str, unscaled_nbytes: float) -> None:
+        """Charge *name*'s memory to the card it lives on and place it."""
+        owner = self.device_for_alloc(name)
+        owner.memory.allocate(name, unscaled_nbytes)
+        self.note_alloc(name, owner, unscaled_nbytes)
+
+    def free(self, name: str) -> None:
+        """Release whatever memory *name* holds and forget its placement."""
+        owner = self.owner_of(name)
+        if owner is not None and owner.memory.holds(name):
+            owner.memory.free(name)
+        self.note_free(name)
 
     def note_alloc(self, name: str, dev: FleetDevice, unscaled_nbytes: float) -> None:
         """Record placement and the unscaled footprint of an allocation."""
@@ -285,6 +330,24 @@ class DeviceFleet:
 
     # -- failover ----------------------------------------------------------------
 
+    def _restart_in_place(self, coi, fault) -> None:
+        """Restart a lone card from the checkpoint.
+
+        Without a checkpoint manager there is nothing to resume from:
+        the device state is gone and the run dies with
+        :class:`~repro.errors.DeviceLost`.
+        """
+        if coi.checkpoint is None:
+            if self.stats is not None:
+                self.stats.device_resets += 1
+            raise DeviceLost(
+                f"device reset at offload #{self.total_assigned - 1} with "
+                f"checkpointing disabled; set "
+                f"ResiliencePolicy.checkpoint_interval > 0 to make "
+                f"streamed offloads resumable"
+            )
+        coi.checkpoint.handle_reset(coi, fault)
+
     def handle_device_loss(self, coi, fault=None) -> None:
         """Ride out a ``device:reset`` on the active device.
 
@@ -297,7 +360,12 @@ class DeviceFleet:
         kernel seconds on a survivor's compute track.  Values need no
         restoring — the correctness layer is eager host-ordered numpy —
         so only *time* and *accounting* move here.
+
+        A lone card has no survivor and restarts in place instead.
         """
+        if len(self.devices) == 1:
+            self._restart_in_place(coi, fault)
+            return
         lost = self.active if self.active is not None else self.devices[0]
         stats = self.stats
         policy = self.policy
@@ -313,7 +381,7 @@ class DeviceFleet:
             stats.recovery_seconds += overhead
 
         # 2. Health transition: eviction once the reset budget is spent
-        # (mirrors the single-device rule: max_resets=0 means the first
+        # (mirrors the lone-card rule: max_resets=0 means the first
         # reset is fatal for the card), quarantine otherwise.
         max_resets = policy.max_resets if policy is not None else 0
         health = lost.health
@@ -342,7 +410,7 @@ class DeviceFleet:
         # kill its persistent kernel sessions.  The shared numpy arrays
         # are untouched — they are the host-ordered correctness layer,
         # the same "the host still has the values" property the
-        # single-device restart path leans on.
+        # lone-card restart path leans on.
         lost.memory.reset()
         coi.drop_persistent_sessions(f"{lost.device_id}:")
 

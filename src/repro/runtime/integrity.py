@@ -296,7 +296,11 @@ class IntegrityManager:
         self.stats.record_action("kernel", "reexecute")
 
     def _schedule_rerun(self, coi, name: str, kernel_seconds: float) -> None:
-        """Occupy the device for one repair re-execution of a kernel."""
+        """Occupy the device for one repair re-execution of a kernel.
+
+        Re-executions ride the unprefixed ``mic`` lane at every fleet
+        size: a lone card's own lane, but no card's lane on N > 1.
+        """
         if kernel_seconds <= 0:
             return
         event = coi.timeline.schedule(
@@ -513,7 +517,7 @@ class IntegrityManager:
         if not candidates:
             return
         fault = coi.injector.draw_silent(
-            "kernel", device=coi.active_device_index
+            "kernel", device=coi.fleet.current().stream
         )
         if fault is None:
             return
@@ -614,7 +618,7 @@ class IntegrityManager:
         ]
         fault = None
         if coi.injector is not None and candidates:
-            fault = coi.injector.draw("arena", device=coi.active_device_index)
+            fault = coi.injector.draw("arena", device=coi.fleet.current().stream)
         ref = None
         if self.verifying and (fault is not None or self.policy.verify_cost > 0):
             ref = arena_segment_checksum(arena, buf)

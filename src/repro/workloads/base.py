@@ -299,13 +299,10 @@ class SharedMemoryWorkload(Workload):
         wall_seconds = time.perf_counter() - started
         stats = ExecutionStats(
             total_time=machine.clock.now,
-            device_busy_time=machine.timeline.busy_time("mic"),
-            transfer_to_device_time=machine.timeline.busy_time("dma:h2d"),
-            transfer_from_device_time=machine.timeline.busy_time("dma:d2h"),
             bytes_to_device=machine.coi.stats.bytes_to_device,
             bytes_from_device=machine.coi.stats.bytes_from_device,
             kernel_launches=machine.coi.stats.kernel_launches,
-            device_peak_bytes=machine.device_memory.peak,
+            **machine.device_stats(),
         )
         return WorkloadRun(
             workload=self.name,

@@ -15,6 +15,7 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.policy import ResiliencePolicy
 from repro.errors import DeviceLost
+from repro.obs.tracer import Tracer
 from repro.workloads.suite import get_workload
 
 WORKLOADS = ["blackscholes", "nn"]
@@ -63,10 +64,34 @@ class TestFaultFreeDifferential:
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_single_device_has_no_fleet(self, name):
-        """--devices 1 must take the pre-fleet code path exactly."""
-        _, machine = _run(name, devices=1)
-        assert machine.fleet is None
-        assert machine.coi.fleet is None
+        """--devices 1 runs on a fleet of one that leaves no fleet trace:
+        the lone card takes every block on the unprefixed lanes."""
+        workload = get_workload(name)
+        tracer = Tracer()
+        machine = workload.machine(tracer=tracer, devices=1)
+        run = workload.run("opt", machine=machine)
+        assert machine.coi.fleet is machine.fleet
+        (card,) = machine.fleet.devices
+        assert run.stats.devices == 1
+        assert card.blocks_assigned == machine.fleet.total_assigned > 0
+        lanes = {s.track for s in tracer.spans}
+        assert {"mic", "dma:h2d", "dma:d2h"} <= lanes
+        assert not any(lane.startswith("dev") for lane in lanes), lanes
+
+
+class TestSharedMemoryOnFleet:
+    """The arena runtime charges the fleet's cards, like named buffers."""
+
+    @pytest.mark.parametrize("name", ["ferret", "freqmine"])
+    def test_arena_runs_on_the_fleet(self, name):
+        baseline, _ = _run(name, devices=1)
+        run, machine = _run(name, devices=2)
+        _assert_bit_identical(run, baseline)
+        assert run.time == baseline.time
+        assert run.stats.devices == 2
+        peak = machine.fleet.peak_bytes()
+        assert run.stats.device_peak_bytes == peak > 0
+        assert run.stats.device_busy_time == baseline.stats.device_busy_time
 
 
 class TestSurvivableDeviceLoss:

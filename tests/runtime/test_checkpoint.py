@@ -127,12 +127,13 @@ class TestResetRecovery:
         payload = np.arange(64, dtype=np.float32)
         coi.alloc_buffer("A", 64)
         coi.write_buffer("A", 0, payload)
-        in_use_before = coi.device_memory.in_use
+        memory = machine.fleet.devices[0].memory
+        in_use_before = memory.in_use
         machine.checkpoint.handle_reset(coi)
         assert coi.epoch == 1
         assert np.array_equal(coi.device.arrays["A"], payload)
-        assert coi.device_memory.in_use == in_use_before
-        assert coi.device_memory.holds("A")
+        assert memory.in_use == in_use_before
+        assert memory.holds("A")
         assert machine.fault_stats.device_resets == 1
         assert machine.fault_stats.blocks_reuploaded == 1
         assert machine.fault_stats.recovery_actions == {
@@ -209,7 +210,7 @@ class TestResetRecovery:
         assert arena.delta.translate(obj.ptr) == obj.ptr.addr + arena.delta._delta[
             obj.ptr.bid
         ]
-        assert coi.device_memory.holds(f"arena:{obj.ptr.bid}")
+        assert machine.fleet.devices[0].memory.holds(f"arena:{obj.ptr.bid}")
 
     def test_delta_refresh_requires_registration(self):
         from repro.runtime.smartptr import DeltaTable
@@ -240,8 +241,9 @@ class TestResetSemantics:
         machine = checkpointed_machine()
         coi = machine.coi
         coi.alloc_buffer("A", 1000)
-        peak = coi.device_memory.peak
+        memory = machine.fleet.devices[0].memory
+        peak = memory.peak
         coi.reset_device()
-        assert coi.device_memory.in_use == 0
-        assert coi.device_memory.peak == peak
-        assert coi.device_memory.device_resets == 1
+        assert memory.in_use == 0
+        assert memory.peak == peak
+        assert memory.device_resets == 1

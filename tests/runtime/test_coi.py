@@ -23,7 +23,7 @@ class TestBuffers:
         buf = coi.alloc_buffer("A", 16)
         assert len(buf) == 16
         assert machine.device.holds("A")
-        assert machine.device_memory.size_of("A") == 64
+        assert machine.fleet.devices[0].memory.size_of("A") == 64
 
     def test_alloc_dtype(self, coi):
         buf = coi.alloc_buffer("D", 4, dtype=np.float64)
@@ -44,7 +44,7 @@ class TestBuffers:
         coi.alloc_buffer("A", 8)
         coi.free_buffer("A")
         assert not machine.device.holds("A")
-        assert machine.device_memory.in_use == 0
+        assert machine.fleet.devices[0].memory.in_use == 0
 
     def test_free_unknown_is_noop(self, coi):
         coi.free_buffer("never-existed")

@@ -139,8 +139,9 @@ class TestOffloadTiming:
         machine = Machine()
         run_program(OFFLOAD_SRC, arrays=make_arrays(), scalars={"n": 256},
                     machine=machine)
-        assert machine.device_memory.in_use == 0
-        assert machine.device_memory.peak >= 2 * 256 * 4
+        memory = machine.fleet.devices[0].memory
+        assert memory.in_use == 0
+        assert memory.peak >= 2 * 256 * 4
 
     def test_device_oom(self):
         # 1M floats at scale 4096 = 16 GB > the 7.5 GB usable capacity.
@@ -265,18 +266,17 @@ class TestAsyncTransfers:
 
     def test_double_buffer_memory_is_bounded(self):
         n, nb = 1 << 12, 8
-        machine = Machine()
-        run_program(
+        stats = run_program(
             self.STREAMED,
             arrays={
                 "A": np.arange(n, dtype=np.float32),
                 "B": np.zeros(n, dtype=np.float32),
             },
             scalars={"b": n // nb, "nb": nb},
-            machine=machine,
-        )
+            machine=Machine(),
+        ).stats
         # Three block buffers instead of two full arrays.
-        assert machine.device_memory.peak == 3 * (n // nb) * 4
+        assert stats.device_peak_bytes == 3 * (n // nb) * 4
 
     def test_offload_wait_statement(self):
         src = """

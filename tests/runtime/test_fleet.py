@@ -9,6 +9,7 @@ pinned at the unit level.
 
 import pytest
 
+from repro.errors import DeviceLost
 from repro.faults.policy import ResiliencePolicy
 from repro.faults.stats import FaultStats
 from repro.hardware.device import PROBE_SEMANTICS, RESET_SEMANTICS, ProbeSemantics
@@ -20,18 +21,13 @@ NEVER = ProbeSemantics(cost=0.010, readmit_probability=0.0)
 
 
 def _fleet(count=2, seed=None, policy=None, probe=PROBE_SEMANTICS, stats=None):
-    """A fleet wired to a fresh machine's COI runtime."""
-    machine = Machine(devices=1)
-    fleet = DeviceFleet(
-        machine.spec,
-        machine.scale,
-        count,
-        seed=seed,
-        policy=policy if policy is not None else ResiliencePolicy(),
-        stats=stats,
-        probe=probe,
-    )
-    machine.coi.fleet = fleet
+    """The fleet of a fresh *count*-card machine, with its COI runtime."""
+    machine = Machine(devices=count)
+    fleet = machine.fleet
+    fleet.seed = seed
+    fleet.policy = policy if policy is not None else ResiliencePolicy()
+    fleet.stats = stats
+    fleet.probe = probe
     return fleet, machine.coi
 
 
@@ -43,17 +39,38 @@ def _quarantine(fleet, dev):
 
 class TestConstruction:
     def test_rejects_single_device(self):
+        """A lone card is no failover source: with no survivor to absorb
+        its buffers, a loss without checkpointing ends the run in place
+        of quarantine and redistribution.  Construction itself now only
+        rejects an empty fleet."""
+        stats = FaultStats()
+        fleet, coi = _fleet(count=1, stats=stats)
+        fleet.begin_block(coi)
+        with pytest.raises(DeviceLost, match="checkpointing disabled"):
+            fleet.handle_device_loss(coi)
+        (card,) = fleet.devices
+        assert card.health.healthy
+        assert stats.device_resets == 1
+        assert stats.quarantines == stats.device_evictions == 0
+        assert not stats.recovery_actions
         machine = Machine(devices=1)
-        with pytest.raises(ValueError, match="at least 2"):
-            DeviceFleet(machine.spec, machine.scale, 1)
+        with pytest.raises(ValueError, match=">= 1"):
+            DeviceFleet(machine.spec, machine.scale, 0)
 
     def test_machine_builds_fleet_only_above_one(self):
-        assert Machine(devices=1).fleet is None
+        """Only above one card do the fleet's devK: lanes and per-card
+        fault streams show; one card keeps the one-card identity."""
+        (lone,) = Machine(devices=1).fleet.devices
+        assert (lone.device_id, lone.compute_track, lone.stream) == (
+            "dev0", "mic", None,
+        )
         machine = Machine(devices=3)
-        assert machine.fleet is not None
-        assert [d.device_id for d in machine.fleet.devices] == [
-            "dev0", "dev1", "dev2",
+        cards = machine.fleet.devices
+        assert [d.device_id for d in cards] == ["dev0", "dev1", "dev2"]
+        assert [d.compute_track for d in cards] == [
+            "dev0:mic", "dev1:mic", "dev2:mic",
         ]
+        assert [d.stream for d in cards] == [0, 1, 2]
 
 
 class TestSharding:

@@ -185,9 +185,10 @@ class TestArenaDeviceCopy:
         arena = ArenaAllocator(chunk_bytes=4096)
         arena.allocate(64)
         arena.copy_to_device(machine.coi)
-        assert machine.device_memory.in_use == 4096
+        memory = machine.fleet.devices[0].memory
+        assert memory.in_use == 4096
         arena.free_on_device(machine.coi)
-        assert machine.device_memory.in_use == 0
+        assert memory.in_use == 0
 
     def test_traversal_on_device_after_copy(self):
         machine = Machine()

@@ -250,6 +250,25 @@ class TestFaultsCommand:
                 "--scenarios", "1", "--rate", "device=0.1",
             ])
 
+    @pytest.mark.parametrize("key", ["dev0:h2d", "dev0:h2d:silent"])
+    def test_device_scoped_rate_rejected_on_one_card(self, key):
+        """A one-card run draws without a device index, so a ``devK:``
+        key would silently inject nothing: reject it, on the CLI and on
+        the service path alike."""
+        from repro.service.jobs import JobSpec, execute_job
+
+        message = f"'{key}'.*drop the 'dev0:' prefix"
+        with pytest.raises(SystemExit, match=message):
+            main([
+                "faults", "blackscholes",
+                "--scenarios", "1", "--rate", f"{key}=0.5",
+            ])
+        spec = JobSpec(
+            kind="faults", workload="blackscholes", rates=((key, 0.5),)
+        )
+        with pytest.raises(ValueError, match=message):
+            execute_job(spec.as_dict())
+
     def test_list_sites_prints_taxonomy(self, capsys):
         code = main(["faults", "--list-sites"])
         assert code == 0

@@ -267,17 +267,15 @@ class TestTimingAndMemory:
     def test_double_buffer_cuts_memory(self):
         """Figure 13: streamed arrays occupy two blocks, not full size."""
         n = 1 << 14
-        machine_plain = Machine(scale=self.SCALE)
-        run_program(
+        plain = run_program(
             BLACKSCHOLES_LIKE, arrays=n_arrays(n)(), scalars={"n": n},
-            machine=machine_plain,
-        )
+            machine=Machine(scale=self.SCALE),
+        ).stats
         prog = parse(BLACKSCHOLES_LIKE)
         apply_streaming(prog, StreamingOptions(num_blocks=16, double_buffer=True))
-        machine_stream = Machine(scale=self.SCALE)
-        run_program(prog, arrays=n_arrays(n)(), scalars={"n": n},
-                    machine=machine_stream)
-        reduction = 1 - machine_stream.device_memory.peak / machine_plain.device_memory.peak
+        stream = run_program(prog, arrays=n_arrays(n)(), scalars={"n": n},
+                             machine=Machine(scale=self.SCALE)).stats
+        reduction = 1 - stream.device_peak_bytes / plain.device_peak_bytes
         assert reduction > 0.6
 
     def test_thread_reuse_single_launch(self):
@@ -304,10 +302,8 @@ class TestTimingAndMemory:
         def peak(nb):
             prog = parse(BLACKSCHOLES_LIKE)
             apply_streaming(prog, StreamingOptions(num_blocks=nb))
-            machine = Machine()
-            run_program(prog, arrays=n_arrays(n)(), scalars={"n": n},
-                        machine=machine)
-            return machine.device_memory.peak
+            return run_program(prog, arrays=n_arrays(n)(), scalars={"n": n},
+                               machine=Machine()).stats.device_peak_bytes
 
         assert peak(32) < peak(4)
 
