@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -535,6 +535,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"signals {stats.kernel_signals}")
     print(f"bytes to device     {stats.bytes_to_device / 2**20:12.2f} MiB")
     print(f"device peak memory  {stats.device_peak_bytes / 2**20:12.2f} MiB")
+    _print_engagement(*_engagement([stats]))
     if args.inject_faults:
         fs = machine.fault_stats
         print(f"faults injected     {fs.total_injected:6d}  "
@@ -596,6 +597,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _engagement(stats_list) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Parallel-loop entries per engine tier, and codegen's rejection
+    reasons, summed over runs."""
+    tiers: Dict[str, int] = {"codegen": 0, "batch": 0, "tree": 0}
+    rejections: Dict[str, int] = {}
+    for stats in stats_list:
+        for tier, count in stats.engine_loops.items():
+            tiers[tier] = tiers.get(tier, 0) + count
+        for reason, count in stats.codegen_rejections.items():
+            rejections[reason] = rejections.get(reason, 0) + count
+    return tiers, rejections
+
+
+def _print_engagement(tiers: Dict[str, int], rejections: Dict[str, int]) -> None:
+    print("parallel loops      " + "  ".join(
+        f"{tier} {count}" for tier, count in tiers.items()
+    ))
+    for reason, count in sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"codegen rejected    {count:6d}  {reason}")
+
+
 def _format_bench_row(name: str, result) -> List[str]:
     return [
         name,
@@ -611,15 +633,21 @@ def _bench_row(
     engine: Optional[str],
     seed: Optional[int],
     devices: int = 1,
-) -> List[str]:
-    """One benchmark's table row; module-level so pool workers can
-    receive it by pickled reference.  Results are deterministic
-    functions of (name, engine, seed, devices), so worker count never
-    changes a row."""
+) -> Tuple[List[str], list]:
+    """One benchmark's table row and its runs' stats; module-level so
+    pool workers can receive it by pickled reference.  Results are
+    deterministic functions of (name, engine, seed, devices), so worker
+    count never changes a row."""
     from repro.experiments.harness import SuiteRunner
 
     runner = SuiteRunner(engine=engine, seed=seed, devices=devices)
-    return _format_bench_row(name, runner.run_benchmark(name))
+    return _bench_result_row(name, runner.run_benchmark(name))
+
+
+def _bench_result_row(name: str, result):
+    return _format_bench_row(name, result), [
+        run.stats for run in result.runs.values()
+    ]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -676,12 +704,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             devices=args.devices,
         )
         rows = [
-            _format_bench_row(name, runner.run_benchmark(name))
+            _bench_result_row(name, runner.run_benchmark(name))
             for name in names
         ]
     print(render_table(
-        ["benchmark", "mic/cpu", "opt/cpu", "opt/mic", "outputs"], rows
+        ["benchmark", "mic/cpu", "opt/cpu", "opt/mic", "outputs"],
+        [row for row, _ in rows],
     ))
+    _print_engagement(*_engagement(stats for _, part in rows for stats in part))
     if args.trace:
         _write_merged_trace(args.trace, tracers)
         print(f"trace written to {args.trace} ({len(tracers)} runs)")

@@ -12,7 +12,10 @@ Semantics are bit-identical to the tree walker by construction:
 
 * Scalar loads become float64/int64 lane vectors holding exactly the
   Python ``float``/``int`` values the tree walker computes per lane;
-  stores cast back with the same numpy casting rules.
+  stores cast back with the same numpy casting rules.  An active lane
+  whose exact integer result leaves int64, or a stored value its array
+  cannot hold, raises ``OverflowError`` (see :mod:`repro.runtime.mathops`)
+  and the tree computes it with Python integers.
 * Builtins whose numpy ufuncs are not bit-identical to :mod:`math`
   (``exp``, ``log``, ``pow``, ``sin``, ``cos``) share one numpy-backed
   reference implementation with the tree walker — the tree calls the
@@ -454,12 +457,14 @@ class _BatchRunner:
         return bool(value)
 
     @staticmethod
-    def _coerce_int(value):
+    def _coerce_int(value, eff):
         if isinstance(value, _Lanes):
             if value.a.dtype.kind == "f":
-                return _Lanes(np.trunc(value.a).astype(np.int64))
+                return _Lanes(mathops.checked_trunc(value.a, eff))
             return value
         if isinstance(value, (float, np.floating)):
+            if not math.isfinite(value):
+                raise OverflowError("non-finite value converted to int")
             return int(value)
         return value
 
@@ -494,7 +499,7 @@ class _BatchRunner:
                 or (isinstance(old, (_Lanes, _Partial)) and old.a.dtype.kind != "f")
             )
             if old_is_int and not isinstance(value, np.ndarray):
-                value = self._coerce_int(value)
+                value = self._coerce_int(value, eff)
             if self._masks_equal(eff, entry_mask) or self._masks_equal(
                 eff, self._and(entry_mask, frame.active)
             ):
@@ -681,17 +686,17 @@ class _BatchRunner:
 
     def _stmt_decl(self, stmt: ast.VarDecl, frame: _Frame, eff) -> None:
         if stmt.init is not None:
-            value = self._vcoerce(stmt.type, self._expr(stmt.init, frame, eff))
+            value = self._vcoerce(stmt.type, self._expr(stmt.init, frame, eff), eff)
         else:
             value = None
         frame.scopes[-1][0][stmt.name] = value
 
-    def _vcoerce(self, typ: ast.Type, value):
+    def _vcoerce(self, typ: ast.Type, value, eff):
         """The tree walker's ``_coerce`` lifted to lane vectors."""
         if not isinstance(typ, ast.BaseType):
             return value  # pointers and the like pass through unchanged
         if typ.name == "int" and not isinstance(value, np.ndarray):
-            return self._coerce_int(value)
+            return self._coerce_int(value, eff)
         if typ.name in ("float", "double"):
             if isinstance(value, _Lanes):
                 if value.a.dtype.kind != "f":
@@ -720,7 +725,7 @@ class _BatchRunner:
                 raise BatchIneligible("whole-struct element write")
             self._check_write(arr, None, slots, ords)
             img = self._array_image_for_write(arr)
-            img[slots] = self._write_values(value, eff)
+            img[slots] = self._write_values(value, eff, arr.dtype)
         elif t is ast.Member and isinstance(target.base, ast.Subscript):
             arr, slots, ords = self._resolve_subscript(target.base, frame, eff)
             if arr.dtype.names is None or target.field not in arr.dtype.names:
@@ -732,16 +737,21 @@ class _BatchRunner:
             )
             self._check_write(arr, target.field, slots, ords)
             img = self._array_image_for_write(arr)
-            img[target.field][slots] = self._write_values(value, eff)
+            img[target.field][slots] = self._write_values(
+                value, eff, arr.dtype[target.field]
+            )
         else:
             raise BatchIneligible(f"cannot assign to {t.__name__}")
 
-    def _write_values(self, value, eff):
+    def _write_values(self, value, eff, dtype):
         if isinstance(value, _Lanes):
-            return value.a if eff is None else value.a[eff]
-        if isinstance(value, (bool, int, np.integer, float, np.floating)):
-            return value
-        raise BatchIneligible(f"cannot store {type(value).__name__}")
+            values = value.a if eff is None else value.a[eff]
+        elif isinstance(value, (bool, int, np.integer, float, np.floating)):
+            values = value
+        else:
+            raise BatchIneligible(f"cannot store {type(value).__name__}")
+        mathops.check_store(dtype, values)
+        return values
 
     def _stmt_if(self, stmt: ast.If, frame: _Frame, mask, eff) -> None:
         self.counters.branches += self._popcount(eff)
@@ -825,7 +835,7 @@ class _BatchRunner:
         if t is ast.Cond:
             return self._expr_cond(expr, frame, eff)
         if t is ast.Cast:
-            return self._vcoerce(expr.type, self._expr(expr.operand, frame, eff))
+            return self._vcoerce(expr.type, self._expr(expr.operand, frame, eff), eff)
         if t is ast.SizeOf:
             from repro.analysis.symbols import sizeof_type
 
@@ -917,7 +927,9 @@ class _BatchRunner:
         lv = left.a if isinstance(left, _Lanes) else left
         rv = right.a if isinstance(right, _Lanes) else right
         vector = isinstance(left, _Lanes) or isinstance(right, _Lanes)
-        if op == "+":
+        if op in ("+", "-", "*") and not is_float:
+            result = mathops.checked_int(op, lv, rv, eff)
+        elif op == "+":
             result = lv + rv
         elif op == "-":
             result = lv - rv
@@ -930,16 +942,20 @@ class _BatchRunner:
         elif op in _COMPARE_OPS:
             cmp = _COMPARE_OPS[op](lv, rv)
             result = cmp.astype(np.int64) if isinstance(cmp, np.ndarray) else int(cmp)
+        elif op in ("<<", ">>"):
+            result = mathops.checked_shift(
+                op, self._to_int(lv, eff), self._to_int(rv, eff), eff
+            )
         elif op in _BITWISE_OPS:
-            result = _BITWISE_OPS[op](self._to_int(lv), self._to_int(rv))
+            result = _BITWISE_OPS[op](self._to_int(lv, eff), self._to_int(rv, eff))
         else:
             raise BatchIneligible(f"operator {op!r}")
         return _Lanes(result) if isinstance(result, np.ndarray) else result
 
     @staticmethod
-    def _to_int(v):
+    def _to_int(v, eff):
         if isinstance(v, np.ndarray):
-            return v if v.dtype.kind != "f" else np.trunc(v).astype(np.int64)
+            return v if v.dtype.kind != "f" else mathops.checked_trunc(v, eff)
         return int(v)
 
     def _divide(self, lv, rv, is_float, eff, vector):
@@ -962,6 +978,8 @@ class _BatchRunner:
         safe = np.where(rvec == 0, 1, rvec)
         if is_float:
             return np.asarray(lv, dtype=np.float64) / safe
+        mathops.check_int64_min(lv, eff)
+        mathops.check_int64_min(safe, eff)
         la = np.asarray(lv)
         q = np.abs(la) // np.abs(safe)
         return np.where((la >= 0) == (rvec >= 0), q, -q).astype(np.int64)
@@ -976,8 +994,10 @@ class _BatchRunner:
             zero = zero & eff
         if bool(np.any(zero)):
             raise ZeroDivisionError("integer division or modulo by zero")
-        safe = self._to_int(np.where(rvec == 0, 1, rvec))
-        la = self._to_int(np.asarray(lv))
+        safe = self._to_int(np.where(rvec == 0, 1, rvec), eff)
+        la = self._to_int(np.asarray(lv), eff)
+        mathops.check_int64_min(la, eff)
+        mathops.check_int64_min(safe, eff)
         r = np.abs(la) % np.abs(safe)
         return np.where(la >= 0, r, -r).astype(np.int64)
 
@@ -991,7 +1011,9 @@ class _BatchRunner:
                 self.counters.flops += self._popcount(eff)
             else:
                 self.counters.int_ops += self._popcount(eff)
-            return _Lanes(-value.a) if isinstance(value, _Lanes) else -value
+            if isinstance(value, _Lanes):
+                return _Lanes(mathops.checked_neg(value.a, eff))
+            return -value
         if expr.op == "!":
             self.counters.int_ops += self._popcount(eff)
             truth = self._truthy(value)
@@ -1161,6 +1183,7 @@ def _vb_abs(runner, args, eff, name):
     value = args[0]
     if isinstance(value, _Lanes):
         # The tree's fabs is plain abs(): an int argument stays int.
+        mathops.check_int64_min(value.a, eff)
         return _Lanes(np.abs(value.a))
     return _scalar_builtin(name, [value])
 
@@ -1170,8 +1193,9 @@ def _vb_floorceil(runner, args, eff, name):
     if not vector:
         return _scalar_builtin(name, [value])
     fn = np.floor if name == "floor" else np.ceil
-    # math.floor/ceil return Python int; keep the integer kind.
-    return _Lanes(fn(value).astype(np.int64))
+    # math.floor/ceil return Python int; keep the integer kind (inactive
+    # lanes were sanitized to 1.0, so every lane is checked).
+    return _Lanes(mathops.checked_trunc(fn(value), None))
 
 
 def _vb_minmax(runner, args, eff, name):

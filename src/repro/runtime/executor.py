@@ -528,6 +528,14 @@ class ExecutionStats:
     #: Dynamic operation totals across the whole run (host + device),
     #: excluding uncharged clause/loop-control evaluation.
     ops: OpCounters = field(default_factory=OpCounters)
+    #: Parallel-loop entries each execution tier ran (codegen, batch,
+    #: tree).  Engagement differs by engine, so this and
+    #: ``codegen_rejections`` stay out of equality and job results.
+    engine_loops: Dict[str, int] = field(default_factory=dict, compare=False)
+    #: Parallel-loop entries codegen did not run, per rejection reason.
+    codegen_rejections: Dict[str, int] = field(
+        default_factory=dict, compare=False
+    )
 
     @property
     def transfer_time(self) -> float:
@@ -610,6 +618,10 @@ class Executor:
             "compiled": 0,
             "cache_hits": 0,
         }
+        #: Parallel-loop entries codegen did not run, per reason.
+        self._codegen_rejections: Dict[str, int] = {}
+        #: Parallel-loop entries the tree walker ran.
+        self._tree_loops = 0
         # Vectorizability memo: per-loop relevant symbol names plus the
         # verdict per concrete binding of those names.
         self._vec_meta: Dict[int, Tuple[List[str], List[str]]] = {}
@@ -671,6 +683,12 @@ class Executor:
             kernel_signals=coi.stats.kernel_signals,
             offload_count=self._offload_count,
             ops=self._ops_total.copy(),
+            engine_loops={
+                "codegen": self._codegen_stats["ran"],
+                "batch": self._batch_stats["batched"],
+                "tree": self._tree_loops,
+            },
+            codegen_rejections=dict(self._codegen_rejections),
             **machine.device_stats(),
         )
 
@@ -917,6 +935,7 @@ class Executor:
                 trips = batch_exec.try_run_parallel_for(self, loop, env)
             if trips is None:
                 trips = self._run_loop(loop, env)
+                self._tree_loops += 1
         finally:
             ctx.in_parallel = False
             loop_counters = ctx.pending
@@ -2071,8 +2090,9 @@ class Executor:
             AccessKind.AFFINE,
         )
 
+    @staticmethod
     def _classify_site(
-        self, index: ast.Expr, var: str, bindings: Dict[str, int]
+        index: ast.Expr, var: str, bindings: Dict[str, int]
     ) -> AccessKind:
         if any(isinstance(n, ast.Subscript) for n in walk_nodes(index)):
             return AccessKind.INDIRECT

@@ -18,18 +18,37 @@ from repro.workloads.suite import get_workload, workload_names
 
 
 @functools.lru_cache(maxsize=None)
-def _run(name, engine):
+def _run(name, engine, variant="opt"):
     """Memoized: the tree reference run is shared by every engine
     parametrization (results are only compared, never mutated)."""
-    return get_workload(name).run("opt", engine=engine)
+    return get_workload(name).run(variant, engine=engine)
+
+
+#: Workloads whose cpu and mic loops the vector tiers run.
+VECTOR_WORKLOADS = (
+    "blackscholes", "cfd", "dedup", "hotspot", "kmeans", "nn", "srad",
+    "streamcluster",
+)
 
 
 @pytest.mark.parametrize("engine", ["batch", "codegen"])
 @pytest.mark.parametrize("name", workload_names())
 def test_engines_agree(name, engine):
-    tree = _run(name, "tree")
-    other = _run(name, engine)
+    _assert_engines_agree(name, _run(name, "tree"), _run(name, engine))
 
+
+@pytest.mark.parametrize("engine", ["batch", "codegen"])
+@pytest.mark.parametrize("variant", ["cpu", "mic"])
+@pytest.mark.parametrize("name", VECTOR_WORKLOADS)
+def test_engines_agree_on_variant(name, variant, engine):
+    """The unoptimized variants' loops (unstreamed, unregularized
+    subscripts) must match the tree walker too."""
+    tree = _run(name, "tree", variant)
+    other = _run(name, engine, variant)
+    _assert_engines_agree(f"{name}/{variant}", tree, other)
+
+
+def _assert_engines_agree(name, tree, other):
     assert set(other.outputs) == set(tree.outputs)
     for key in tree.outputs:
         expected, actual = tree.outputs[key], other.outputs[key]

@@ -54,6 +54,18 @@ def _sha256(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _engine_neutral(snapshot: dict) -> dict:
+    """The metrics snapshot without the engine-engagement counters: they
+    say which execution tier ran each parallel loop (``codegen.*``,
+    ``batch.*``), not what the loop computed or cost."""
+    counters = {
+        name: value
+        for name, value in snapshot["counters"].items()
+        if not name.startswith(("codegen.", "batch."))
+    }
+    return {**snapshot, "counters": counters}
+
+
 def trace_digests(scenario: str):
     """(trace events, metrics snapshot) digests of a traced one-card run."""
     plan = policy = None
@@ -70,7 +82,7 @@ def trace_digests(scenario: str):
     workload.run("opt", machine=machine)
     return (
         _sha256(chrome_trace_events(tracer)),
-        _sha256(metrics_snapshot(tracer.metrics)),
+        _sha256(_engine_neutral(metrics_snapshot(tracer.metrics))),
     )
 
 

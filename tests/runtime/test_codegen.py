@@ -133,26 +133,33 @@ def test_cached_kernel_indistinguishable_from_fresh(seed, s):
 
 
 def test_fallback_to_batch_for_indirect_index():
-    """An index that is not the induction variable is outside the
-    codegen tier; the ladder must fall through and still agree with the
+    """A written array indexed other than ``i + c`` (here a permutation
+    scatter) is outside the codegen tier; the ladder must fall through
+    to batch, which tracks the write hazards, and still agree with the
     tree walker."""
     src = """
     void main() {
         #pragma omp parallel for
         for (int i = 0; i < n; i++) {
-            out[i] = a[i] + a[0];
+            out[perm[i]] = a[i] + a[0];
         }
     }
     """
     n = 64
     rng = np.random.default_rng(3)
-    base = {"a": rng.standard_normal(n), "out": np.zeros(n)}
+    base = {
+        "a": rng.standard_normal(n),
+        "perm": rng.permutation(n).astype(np.int64),
+        "out": np.zeros(n),
+    }
 
     arrays_cg = {k: v.copy() for k, v in base.items()}
     ex, _ = _run(src, arrays_cg, {"n": n})
     assert ex._codegen_stats["ran"] == 0
+    assert ex._batch_stats["batched"] == 1
     verdicts = list(ex._codegen_static_cache.values())
     assert verdicts and not verdicts[0].eligible
+    assert "i + c" in verdicts[0].reason
 
     arrays_tree = {k: v.copy() for k, v in base.items()}
     _run(src, arrays_tree, {"n": n}, engine="tree")

@@ -93,6 +93,31 @@ class TestRunCommand:
         assert "simulated time" in out
         assert "kernel launches" in out
 
+    def test_run_reports_engine_engagement(self, tmp_path, capsys):
+        path = tmp_path / "two.c"
+        path.write_text(
+            """
+            void main() {
+            #pragma omp parallel for
+                for (int i = 0; i < n; i++) { B[i] = A[i] * 2.0; }
+            #pragma omp parallel for
+                for (int i = 1; i < n; i++) { B[i] = B[i - 1] + A[i]; }
+            }
+            """
+        )
+        args = [
+            "run", str(path),
+            "--array", "A=64", "--array", "B=64:float:zeros", "--scalar", "n=64",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "parallel loops      codegen 1  batch 0  tree 1" in out
+        assert "codegen rejected         1  dynamic: written array 'B'" in out
+        assert main(args + ["--engine", "tree"]) == 0
+        out = capsys.readouterr().out
+        assert "parallel loops      codegen 0  batch 0  tree 2" in out
+        assert "codegen rejected" not in out
+
     def test_run_print_array(self, source_file, capsys):
         main([
             "run", source_file,
@@ -133,6 +158,7 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "nn" in out
         assert "ok" in out
+        assert "parallel loops      codegen 134  batch 0  tree 0" in out
 
     def test_bench_unknown_name(self):
         with pytest.raises(SystemExit):
