@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import __version__
+from repro.errors import ReproError
 from repro.minic.parser import parse
 from repro.minic.printer import to_source
 from repro.runtime.executor import ENGINES, Machine, run_program
@@ -508,6 +509,15 @@ def _write_merged_trace(path: str, tracers: Sequence[Tuple[str, object]]) -> Non
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one MiniC program; a program error is reported on one line."""
+    try:
+        return _run_command(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run_command(args: argparse.Namespace) -> int:
     arrays, scalars = _parse_inputs(args)
     program = _load_program(args)
     fault_plan = None

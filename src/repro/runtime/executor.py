@@ -22,6 +22,14 @@ by the clauses (a missing clause raises
 device context are timed at MIC serial speed — which is how offload
 merging's cost ("we may increase the sequential execution on MIC") shows
 up naturally.
+
+Statements and expressions run as closures that
+:mod:`repro.runtime.lower` builds the first time this executor reaches
+them (the scalar interpreter).  The executor keeps what surrounds them:
+machine state, scopes (:class:`Env`), the timing contexts, parallel-loop
+and offload machinery, and the entry points (``_exec_stmt``,
+``_run_loop``, ``_eval``, ``_eval_clause``, ``_call_function``) that
+the vector engines and the offload paths call.
 """
 
 from __future__ import annotations
@@ -49,8 +57,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.faults.stats import FaultStats
-from repro.analysis.symbols import sizeof_type
-from repro.analysis.vectorize import is_vectorizable
+from repro.analysis.vectorize import _loop_var_name, is_vectorizable
 from repro.hardware.device import ComputeDevice, OpCounters
 from repro.hardware.event_sim import Clock, Event, Timeline
 from repro.hardware.spec import MachineSpec, paper_machine
@@ -65,6 +72,7 @@ from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.coi import CoiRuntime
 from repro.runtime.fleet import DeviceFleet
 from repro.runtime.integrity import IntegrityManager
+from repro.runtime.lower import Lowerer, _stmts
 from repro.runtime.values import DeviceSpace, HostSpace
 
 # Flop costs of builtin math calls (rough icc/SVML-like latencies).
@@ -263,6 +271,8 @@ class Machine:
 class Env:
     """A lexical scope chain ending in a memory-space root."""
 
+    __slots__ = ("parent", "vars")
+
     def __init__(self, parent: Optional["Env"] = None):
         self.parent = parent
         self.vars: Dict[str, object] = {}
@@ -405,24 +415,6 @@ class _DeviceRootEnv(Env):
             for k, v in self.device.scalars.items()
             if isinstance(v, (int, np.integer))
         }
-
-
-# ==========================================================================
-# Control-flow signals
-# ==========================================================================
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 # ==========================================================================
@@ -626,6 +618,9 @@ class Executor:
         # verdict per concrete binding of those names.
         self._vec_meta: Dict[int, Tuple[List[str], List[str]]] = {}
         self._vec_cache: Dict[Tuple, bool] = {}
+        #: Closures this executor runs, lowered on first use; they live
+        #: for the duration of one run().
+        self._lower: Optional[Lowerer] = None
 
     # -- public API ---------------------------------------------------------
 
@@ -641,22 +636,29 @@ class Executor:
             host.arrays[name] = value
         for name, value in (scalars or {}).items():
             host.scalars[name] = value
-        for decl in self.program.decls:
-            if isinstance(decl, ast.GlobalDecl):
-                self._exec_global(decl.decl)
+        self._lower = Lowerer(self)
+        try:
+            for decl in self.program.decls:
+                if isinstance(decl, ast.GlobalDecl):
+                    self._exec_global(decl.decl)
 
-        func = self.functions.get(entry)
-        if func is None:
-            raise ExecutionError(f"no function {entry!r} in program")
-        env = Env(parent=self._host_root)
-        args = []
-        for param in func.params:
-            if not self._host_root.has(param.name):
-                raise ExecutionError(
-                    f"entry parameter {param.name!r} was not bound"
-                )
-            args.append(self._host_root.get(param.name))
-        value = self._call_function(func, args, env_parent=self._host_root)
+            func = self.functions.get(entry)
+            if func is None:
+                raise ExecutionError(f"no function {entry!r} in program")
+            args = []
+            for param in func.params:
+                if not self._host_root.has(param.name):
+                    raise ExecutionError(
+                        f"entry parameter {param.name!r} was not bound"
+                    )
+                args.append(self._host_root.get(param.name))
+            value = self._call_function(func, args, env_parent=self._host_root)
+        finally:
+            # The closures bind this executor.  Dropping them leaves no
+            # reference cycle, so a finished executor (and its machine's
+            # arrays) is freed as soon as its caller lets go of it.
+            self._lower.release()
+            self._lower = None
 
         self._drain_host()
         self.machine.finalize_integrity()
@@ -704,7 +706,7 @@ class Executor:
         if seconds > 0 and self.machine.tracer.enabled:
             self.machine.tracer.span("host-compute", "cpu", start, clock.now)
 
-    # -- globals / functions ---------------------------------------------------------
+    # -- globals ------------------------------------------------------------------
 
     def _exec_global(self, decl: ast.VarDecl) -> None:
         if self._host_root.has(decl.name):
@@ -716,164 +718,22 @@ class Executor:
         else:
             self._host_root.declare(decl.name, 0)
 
-    def _call_function(self, func: ast.FuncDef, args, env_parent: Env):
-        if len(args) != len(func.params):
-            raise ExecutionError(
-                f"{func.name}() takes {len(func.params)} args, got {len(args)}"
-            )
-        env = Env(parent=env_parent)
-        for param, value in zip(func.params, args):
-            env.declare(param.name, value)
-        try:
-            self._exec_block(func.body, env)
-        except _Return as ret:
-            return ret.value
-        return None
-
-    # -- statements --------------------------------------------------------------------
-
-    def _exec_block(self, block: ast.Block, env: Env) -> None:
-        scope = Env(parent=env)
-        for stmt in block.stmts:
-            self._exec_stmt(stmt, scope)
-
-    def _exec_stmt(self, stmt: ast.Stmt, env: Env) -> None:
-        # Type-keyed dispatch (see _STMT_DISPATCH below the class body):
-        # one dict hit replaces an isinstance ladder on the hot path.
-        handler = _STMT_DISPATCH.get(stmt.__class__)
-        if handler is None:
-            raise ExecutionError(f"cannot execute {type(stmt).__name__}")
-        handler(self, stmt, env)
-
-    def _exec_exprstmt(self, stmt: ast.ExprStmt, env: Env) -> None:
-        self._eval(stmt.expr, env)
-
-    def _exec_if(self, stmt: ast.If, env: Env) -> None:
-        self._ctx.pending.branches += 1
-        if self._truthy(self._eval(stmt.cond, env)):
-            self._exec_stmt(stmt.then, env)
-        elif stmt.other is not None:
-            self._exec_stmt(stmt.other, env)
-
-    def _exec_return(self, stmt: ast.Return, env: Env) -> None:
-        raise _Return(None if stmt.value is None else self._eval(stmt.value, env))
-
-    def _exec_break(self, stmt: ast.Break, env: Env) -> None:
-        raise _Break()
-
-    def _exec_continue(self, stmt: ast.Continue, env: Env) -> None:
-        raise _Continue()
-
-    def _exec_pragma_node(self, stmt: ast.PragmaStmt, env: Env) -> None:
-        self._exec_pragma_stmt(stmt.pragma, env)
-
-    def _exec_offload_block(self, stmt: ast.OffloadBlock, env: Env) -> None:
-        self._exec_offload(stmt.pragma, stmt.body, env, loop=None)
-
-    def _exec_decl(self, decl: ast.VarDecl, env: Env) -> None:
-        if isinstance(decl.type, ast.ArrayType):
-            env.declare(decl.name, self._make_local_array(decl.type, env))
-        elif decl.init is not None:
-            value = self._eval(decl.init, env)
-            env.declare(decl.name, self._coerce(decl.type, value))
-        else:
-            env.declare(decl.name, None)
-
-    def _make_local_array(self, typ: ast.ArrayType, env: Optional[Env] = None):
-        size = (
-            self._eval(typ.size, env or self._host_root)
-            if typ.size is not None
-            else 0
-        )
+    def _make_local_array(self, typ: ast.ArrayType):
+        size = self._eval(typ.size, self._host_root) if typ.size is not None else 0
         base = typ.base
         dtype = _NUMPY_TYPES.get(getattr(base, "name", "float"), np.float64)
         return np.zeros(int(size), dtype=dtype)
 
-    def _coerce(self, typ: ast.Type, value):
-        if isinstance(typ, ast.BaseType) and typ.name == "int" and not isinstance(
-            value, np.ndarray
-        ):
-            return int(value)
-        if isinstance(typ, ast.BaseType) and typ.name in ("float", "double"):
-            if not isinstance(value, np.ndarray):
-                return float(value)
-        return value
+    # -- entry points into the lowered interpreter -----------------------------------
+    #
+    # Each looks up (lowering on first use) the closure for its node; see
+    # repro.runtime.lower.
 
-    # -- assignment ----------------------------------------------------------------------
+    def _call_function(self, func: ast.FuncDef, args, env_parent: Env):
+        return self._lower.function(func)(args, env_parent)
 
-    def _exec_assign(self, stmt: ast.Assign, env: Env) -> None:
-        value = self._eval(stmt.value, env)
-        target = stmt.target
-        if stmt.op != "=":
-            current = self._eval(target, env)
-            value = self._binary_value(stmt.op[0], current, value)
-        if isinstance(target, ast.Ident):
-            if not env.has(target.name):
-                # Assignment to an undeclared name creates it at file scope
-                # (host globals / device scalars), C-extern style.
-                env.root().declare(target.name, value)
-            else:
-                old = None
-                try:
-                    old = env.get(target.name)
-                except ExecutionError:
-                    pass
-                if isinstance(old, (int, np.integer)) and not isinstance(
-                    value, np.ndarray
-                ):
-                    value = int(value)
-                env.set(target.name, value)
-        elif isinstance(target, ast.Subscript):
-            array, index = self._resolve_subscript(target, env)
-            self._count_access(
-                target, env, is_write=True,
-                itemsize=array.dtype.itemsize, array=array,
-            )
-            array[index] = value
-        elif isinstance(target, ast.Member):
-            self._assign_member(target, value, env)
-        else:
-            raise ExecutionError(f"cannot assign to {type(target).__name__}")
-
-    def _assign_member(self, target: ast.Member, value, env: Env) -> None:
-        if isinstance(target.base, ast.Subscript):
-            array, index = self._resolve_subscript(target.base, env)
-            if array.dtype.names is None or target.field not in array.dtype.names:
-                raise ExecutionError(
-                    f"array {array.dtype} has no field {target.field!r}"
-                )
-            self._count_access(
-                target.base,
-                env,
-                is_write=True,
-                itemsize=array.dtype[target.field].itemsize,
-                aos=True,
-                array=array,
-            )
-            array[target.field][index] = value
-        else:
-            base = self._eval(target.base, env)
-            try:
-                base[target.field] = value
-            except (TypeError, IndexError, KeyError) as exc:
-                raise ExecutionError(f"bad member assignment: {exc}") from exc
-
-    # -- loops -------------------------------------------------------------------------------
-
-    def _exec_for(self, loop: ast.For, env: Env) -> None:
-        offload = next(
-            (p for p in loop.pragmas if isinstance(p, ast.OffloadPragma)), None
-        )
-        if offload is not None and not self._ctx.is_device:
-            self._exec_offload(offload, loop.body, env, loop=loop)
-            return
-        omp = next(
-            (p for p in loop.pragmas if isinstance(p, ast.OmpParallelFor)), None
-        )
-        if omp is not None and not self._ctx.in_parallel:
-            self._exec_parallel_for(loop, env)
-            return
-        self._run_loop(loop, env)
+    def _exec_stmt(self, stmt: ast.Stmt, env: Env) -> None:
+        self._lower.statement(stmt)(env)
 
     def _run_loop(self, loop: ast.For, env: Env) -> int:
         """Interpret a loop sequentially; returns the trip count.
@@ -882,46 +742,27 @@ class Executor:
         negligible next to real body work, and charging it would wrongly
         scale an outer loop's bookkeeping by the simulation scale factor.
         """
-        scope = Env(parent=env)
-        if loop.init is not None:
-            self._exec_stmt(loop.init, scope)
-        var = self._loop_var_name(loop)
-        if var is not None:
-            self._loop_vars.append(var)
-        trips = 0
-        try:
-            while loop.cond is None or self._truthy(
-                self._eval_clause(loop.cond, scope)
-            ):
-                trips += 1
-                try:
-                    self._exec_stmt(loop.body, scope)
-                except _Continue:
-                    pass
-                except _Break:
-                    break
-                if loop.step is not None:
-                    self._exec_free(loop.step, scope)
-        finally:
-            if var is not None:
-                self._loop_vars.pop()
-        return trips
+        return self._lower.loop(loop)(env)
 
-    def _exec_free(self, stmt: ast.Stmt, env: Env) -> None:
-        """Execute a statement without charging its operations."""
-        saved, self._ctx.pending = self._ctx.pending, OpCounters()
-        try:
-            self._exec_stmt(stmt, env)
-        finally:
-            self._ctx.pending = saved
+    def _eval(self, expr: ast.Expr, env: Env):
+        return self._lower.expression(expr, clause=False)(env)
+
+    def _eval_clause(self, expr: ast.Expr, env: Env):
+        """Evaluate *expr* without charging its operations."""
+        return self._lower.expression(expr, clause=True)(env)
 
     #: Share of a pipelined regularization loop that delays the program:
     #: "the only extra overhead caused by regularization is the time taken
     #: to regularize the first data block" (Section IV).
     PIPELINED_FIRST_BLOCK = 1.0 / 20.0
 
-    def _exec_parallel_for(self, loop: ast.For, env: Env) -> None:
-        """Interpret a parallel loop and time it with the roofline model."""
+    def _exec_parallel_for(self, loop: ast.For, env: Env, run_loop=None) -> None:
+        """Interpret a parallel loop and time it with the roofline model.
+
+        *run_loop* is the loop's sequential runner lowered in the scope
+        of the statement that reached it (the tree tier's fallback);
+        without one the loop is lowered on its own.
+        """
         ctx = self._ctx
         ctx.flush_serial()
         outer_pending = ctx.pending
@@ -934,7 +775,10 @@ class Executor:
             if trips is None and self.engine != "tree":
                 trips = batch_exec.try_run_parallel_for(self, loop, env)
             if trips is None:
-                trips = self._run_loop(loop, env)
+                if run_loop is None:
+                    trips = self._run_loop(loop, env)
+                else:
+                    trips = run_loop(env)
                 self._tree_loops += 1
         finally:
             ctx.in_parallel = False
@@ -976,37 +820,6 @@ class Executor:
             return
         ctx.add_parallel(loop_counters, trips, vectorizable)
 
-    def _exec_while(self, loop: ast.While, env: Env) -> None:
-        while self._truthy(self._eval_clause(loop.cond, env)):
-            self._ctx.pending.branches += 1
-            try:
-                self._exec_stmt(loop.body, env)
-            except _Continue:
-                continue
-            except _Break:
-                break
-
-    def _exec_do_while(self, loop: ast.DoWhile, env: Env) -> None:
-        while True:
-            self._ctx.pending.branches += 1
-            try:
-                self._exec_stmt(loop.body, env)
-            except _Continue:
-                pass
-            except _Break:
-                break
-            if not self._truthy(self._eval_clause(loop.cond, env)):
-                break
-
-    def _loop_var_name(self, loop: ast.For) -> Optional[str]:
-        if isinstance(loop.init, ast.VarDecl):
-            return loop.init.name
-        if isinstance(loop.init, ast.Assign) and isinstance(
-            loop.init.target, ast.Ident
-        ):
-            return loop.init.target.name
-        return None
-
     # -- vectorizability ------------------------------------------------------------------------
 
     def _is_vectorizable(self, loop: ast.For, env: Env) -> bool:
@@ -1023,9 +836,9 @@ class Executor:
         if meta is None:
             nest_vars = []
             for f in [loop] + [
-                s for s in _walk_stmts(loop.body) if isinstance(s, ast.For)
+                s for s in _stmts(loop.body) if isinstance(s, ast.For)
             ]:
-                name = self._loop_var_name(f)
+                name = _loop_var_name(f)
                 if name is not None:
                     nest_vars.append(name)
             index_names = set()
@@ -1826,13 +1639,6 @@ class Executor:
             return default
         return bool(self._eval_clause(expr, env))
 
-    def _eval_clause(self, expr: ast.Expr, env: Env):
-        saved, self._ctx.pending = self._ctx.pending, OpCounters()
-        try:
-            return self._eval(expr, env)
-        finally:
-            self._ctx.pending = saved
-
     def _eval_clause_int(
         self, expr: Optional[ast.Expr], env: Env, default: int
     ) -> int:
@@ -1840,255 +1646,16 @@ class Executor:
             return int(default)
         return int(self._eval_clause(expr, env))
 
-    # -- expressions -----------------------------------------------------------------------------------
-
-    def _eval(self, expr: ast.Expr, env: Env):
-        # Type-keyed dispatch (see _EVAL_DISPATCH below the class body):
-        # this is the interpreter's hottest function.
-        handler = _EVAL_DISPATCH.get(expr.__class__)
-        if handler is None:
-            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-        return handler(self, expr, env)
-
-    def _eval_literal(self, expr, env: Env):
-        return expr.value
-
-    def _eval_ident(self, expr: ast.Ident, env: Env):
-        return env.get(expr.name)
-
-    def _eval_subscript(self, expr: ast.Subscript, env: Env):
-        array, index = self._resolve_subscript(expr, env)
-        self._count_access(
-            expr, env, is_write=False,
-            itemsize=array.dtype.itemsize, array=array,
-        )
-        value = array[index]
-        if isinstance(value, np.void):
-            return value
-        return value.item() if isinstance(value, np.generic) else value
-
-    def _eval_cond(self, expr: ast.Cond, env: Env):
-        self._ctx.pending.branches += 1
-        if self._truthy(self._eval(expr.cond, env)):
-            return self._eval(expr.then, env)
-        return self._eval(expr.other, env)
-
-    def _eval_cast(self, expr: ast.Cast, env: Env):
-        value = self._eval(expr.operand, env)
-        return self._coerce(expr.type, value)
-
-    def _eval_sizeof(self, expr: ast.SizeOf, env: Env):
-        return sizeof_type(expr.type, self.structs)
-
-    def _eval_binop(self, expr: ast.BinOp, env: Env):
-        if expr.op == "&&":
-            self._ctx.pending.int_ops += 1
-            return int(
-                self._truthy(self._eval(expr.left, env))
-                and self._truthy(self._eval(expr.right, env))
-            )
-        if expr.op == "||":
-            self._ctx.pending.int_ops += 1
-            return int(
-                self._truthy(self._eval(expr.left, env))
-                or self._truthy(self._eval(expr.right, env))
-            )
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        return self._binary_value(expr.op, left, right)
-
-    def _binary_value(self, op: str, left, right):
-        is_float = isinstance(left, (float, np.floating)) or isinstance(
-            right, (float, np.floating)
-        )
-        if op in ("+", "-", "*", "/"):
-            if is_float:
-                self._ctx.pending.flops += 1
-            else:
-                self._ctx.pending.int_ops += 1
-        else:
-            self._ctx.pending.int_ops += 1
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if is_float:
-                return left / right
-            quotient = abs(int(left)) // abs(int(right))
-            return quotient if (left >= 0) == (right >= 0) else -quotient
-        if op == "%":
-            remainder = abs(int(left)) % abs(int(right))
-            return remainder if left >= 0 else -remainder
-        if op == "<":
-            return int(left < right)
-        if op == ">":
-            return int(left > right)
-        if op == "<=":
-            return int(left <= right)
-        if op == ">=":
-            return int(left >= right)
-        if op == "==":
-            return int(left == right)
-        if op == "!=":
-            return int(left != right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        raise ExecutionError(f"unsupported operator {op!r}")
-
-    def _eval_unop(self, expr: ast.UnOp, env: Env):
-        value = self._eval(expr.operand, env)
-        if expr.op == "-":
-            if isinstance(value, (float, np.floating)):
-                self._ctx.pending.flops += 1
-            else:
-                self._ctx.pending.int_ops += 1
-            return -value
-        if expr.op == "!":
-            self._ctx.pending.int_ops += 1
-            return int(not self._truthy(value))
-        raise ExecutionError(f"unsupported unary operator {expr.op!r}")
-
-    def _eval_member(self, expr: ast.Member, env: Env):
-        if isinstance(expr.base, ast.Subscript):
-            array, index = self._resolve_subscript(expr.base, env)
-            if array.dtype.names is None or expr.field not in array.dtype.names:
-                raise ExecutionError(f"no field {expr.field!r} in {array.dtype}")
-            self._count_access(
-                expr.base,
-                env,
-                is_write=False,
-                itemsize=array.dtype[expr.field].itemsize,
-                aos=True,
-                array=array,
-            )
-            value = array[expr.field][index]
-            return value.item() if isinstance(value, np.generic) else value
-        base = self._eval(expr.base, env)
-        if isinstance(base, np.void):
-            return base[expr.field]
-        try:
-            return base[expr.field]
-        except (TypeError, IndexError, KeyError) as exc:
-            raise ExecutionError(f"bad member access: {exc}") from exc
-
-    #: Shared-memory allocation intrinsics (Section V).  ``malloc`` and
-    #: ``Offload_shared_malloc`` go through the MYO baseline; the lowering
-    #: pass rewrites them to ``arena_alloc`` which goes through the
-    #: segmented arena.  Each returns an opaque address handle.
-    _SHARED_ALLOC_FUNCS = frozenset(
-        {"malloc", "Offload_shared_malloc", "shared_malloc"}
-    )
-    _ARENA_FUNCS = frozenset({"arena_alloc"})
-    _FREE_FUNCS = frozenset(
-        {"free", "Offload_shared_free", "shared_free", "arena_free"}
-    )
-
     def _call_root_env(self) -> Env:
         """The root scope function calls resolve against (context-based)."""
         return self._device_root if self._ctx.is_device else self._host_root
 
-    def _eval_call(self, expr: ast.Call, env: Env):
-        args = [self._eval(a, env) for a in expr.args]
-        self._ctx.pending.calls += 1
-        if expr.func in self.functions:
-            return self._call_function(
-                self.functions[expr.func], args, self._call_root_env()
-            )
-        if expr.func in _BUILTIN_IMPL:
-            self._ctx.pending.flops += BUILTIN_COSTS[expr.func]
-            try:
-                return _BUILTIN_IMPL[expr.func](*args)
-            except ValueError as exc:
-                raise ExecutionError(f"math domain error in {expr.func}: {exc}")
-        if expr.func in self._SHARED_ALLOC_FUNCS:
-            return self.machine.myo.shared_malloc(int(args[0]))
-        if expr.func in self._ARENA_FUNCS:
-            return self.machine.arena.allocate(int(args[0])).ptr.addr
-        if expr.func in self._FREE_FUNCS:
-            # Shared frees are deferred: MYO reclaims at program end, the
-            # arena releases whole buffers (Section V-A).
-            return 0
-        raise ExecutionError(f"call to unknown function {expr.func!r}")
-
     # -- access accounting -------------------------------------------------------------------------------
-
-    def _resolve_subscript(self, expr: ast.Subscript, env: Env):
-        base = self._eval_no_count(expr.base, env)
-        if not isinstance(base, np.ndarray):
-            raise ExecutionError("subscript of a non-array value")
-        index = int(self._eval(expr.index, env))
-        if index < 0 or index >= len(base):
-            raise ExecutionError(
-                f"index {index} out of range for array of {len(base)}"
-            )
-        return base, index
-
-    def _eval_no_count(self, expr: ast.Expr, env: Env):
-        if isinstance(expr, ast.Ident):
-            return env.get(expr.name)
-        return self._eval(expr, env)
 
     #: Arrays whose (simulated) size fits comfortably in cache are charged
     #: no memory traffic and no locality penalty: centroid tables,
     #: dictionaries and other small lookup structures live in L1/L2.
     CACHED_ARRAY_BYTES = 256 << 10
-
-    def _count_access(
-        self,
-        node: ast.Subscript,
-        env: Env,
-        is_write: bool,
-        itemsize: int,
-        aos: bool = False,
-        array=None,
-    ) -> None:
-        pending = self._ctx.pending
-        cached = (
-            array is not None
-            and array.nbytes * self.machine.scale <= self.CACHED_ARRAY_BYTES
-        )
-        if is_write:
-            pending.stores += 1
-            if not cached:
-                pending.bytes_written += itemsize
-        else:
-            pending.loads += 1
-            if not cached:
-                pending.bytes_read += itemsize
-        if not cached and (aos or self._is_irregular_site(node, env)):
-            pending.irregular_accesses += 1
-
-    def _is_irregular_site(self, node: ast.Subscript, env: Env) -> bool:
-        """Static-per-site classification of access regularity.
-
-        Classified once per (AST node, innermost loop variable) against
-        concrete bindings, then cached — the dynamic count of irregular
-        accesses is what the locality model consumes.
-        """
-        if not self._loop_vars:
-            return False
-        var = self._loop_vars[-1]
-        key = (id(node), var)
-        cached = self._access_cache.get(key)
-        if cached is None:
-            cached = self._classify_site(node.index, var, env.int_bindings())
-            self._access_cache[key] = cached
-        return cached in (
-            AccessKind.INDIRECT,
-            AccessKind.NONLINEAR,
-            AccessKind.AFFINE,
-        )
 
     @staticmethod
     def _classify_site(
@@ -2107,56 +1674,6 @@ class Executor:
         if abs(form.coeff) == 1:
             return AccessKind.UNIT
         return AccessKind.AFFINE
-
-    @staticmethod
-    def _truthy(value) -> bool:
-        return bool(value)
-
-
-def _walk_stmts(stmt: ast.Stmt):
-    """Yield all statements under *stmt*, depth-first."""
-    stack = [stmt]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in current.children():
-            if isinstance(child, ast.Stmt):
-                stack.append(child)
-
-
-#: Type-keyed statement dispatch: ``stmt.__class__`` -> unbound method.
-_STMT_DISPATCH = {
-    ast.VarDecl: Executor._exec_decl,
-    ast.Assign: Executor._exec_assign,
-    ast.ExprStmt: Executor._exec_exprstmt,
-    ast.Block: Executor._exec_block,
-    ast.If: Executor._exec_if,
-    ast.For: Executor._exec_for,
-    ast.While: Executor._exec_while,
-    ast.DoWhile: Executor._exec_do_while,
-    ast.Return: Executor._exec_return,
-    ast.Break: Executor._exec_break,
-    ast.Continue: Executor._exec_continue,
-    ast.PragmaStmt: Executor._exec_pragma_node,
-    ast.OffloadBlock: Executor._exec_offload_block,
-}
-
-#: Type-keyed expression dispatch: ``expr.__class__`` -> unbound method.
-_EVAL_DISPATCH = {
-    ast.IntLit: Executor._eval_literal,
-    ast.FloatLit: Executor._eval_literal,
-    ast.StringLit: Executor._eval_literal,
-    ast.Ident: Executor._eval_ident,
-    ast.BinOp: Executor._eval_binop,
-    ast.UnOp: Executor._eval_unop,
-    ast.Subscript: Executor._eval_subscript,
-    ast.Member: Executor._eval_member,
-    ast.Call: Executor._eval_call,
-    ast.Cond: Executor._eval_cond,
-    ast.Cast: Executor._eval_cast,
-    ast.SizeOf: Executor._eval_sizeof,
-}
-
 
 def run_program(
     source: Union[str, ast.Program],

@@ -29,8 +29,9 @@ Replay runs in two phases so determinism and parallelism don't fight:
   interleaving — which is what makes the replay summary byte-stable.
 
 Wall-clock service telemetry (actual queue latency, jobs/sec) still
-exists — it lives in the service's metrics registry and the
-``BENCH_service.json`` artifact, never in replay summaries.
+exists — it lives in the service's metrics registry and in the
+``service-openloop`` workload of ``python -m benchmarks.perf``, never in
+replay summaries.
 """
 
 from __future__ import annotations

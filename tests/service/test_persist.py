@@ -234,6 +234,34 @@ class TestServiceRecovery:
         assert recovery["recovered_jobs"] == 0
         assert recovery["recovered_results"] >= 2
 
+    def test_cold_start_warms_every_stored_result(self, tmp_path):
+        # A crashed server's state: every job's result is in the segments,
+        # half the jobs never journaled a terminal record.  Recovery warms
+        # every result, re-admits exactly the pending half, drops nothing.
+        state = str(tmp_path / "state")
+        journal = JobJournal(os.path.join(state, "journal.jsonl"), sync="off")
+        store = PersistentResultStore(os.path.join(state, "results"), sync="off")
+        jobs = 8
+        for i in range(jobs):
+            spec = run_spec(seed=i)
+            key = spec.key_sha()
+            journal.append_accepted(key, spec.as_dict())
+            store.put(key, {"ok": True, "sim_time": 0.0, "kind": "run",
+                            "label": f"cold-{i}"})
+            if i % 2 == 0:
+                journal.append_terminal(key, "done")
+        journal.close()
+        store.close()
+
+        async def scenario(service):
+            await service.drain()
+            return dict(service.recovery)
+
+        recovery = run_service(scenario, workers=0, state_dir=state, sync="off")
+        assert recovery["dropped_corrupt"] == 0
+        assert recovery["recovered_jobs"] == jobs // 2
+        assert recovery["recovered_results"] == jobs
+
     def test_corrupt_journal_spec_dropped_not_fatal(self, tmp_path):
         state = str(tmp_path / "state")
         os.makedirs(state)

@@ -1,11 +1,15 @@
 """Tests for the command-line interface and the package-level API."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro import optimize_source, run_source
 from repro.cli import main
 
@@ -150,6 +154,51 @@ class TestRunCommand:
     def test_bad_scalar_spec(self, source_file):
         with pytest.raises(SystemExit):
             main(["run", source_file, "--scalar", "n"])
+
+
+class TestRunErrors:
+    """``repro run`` reports a program error on one line, exit status 1."""
+
+    def run_cli(self, tmp_path, source, *extra):
+        path = tmp_path / "prog.c"
+        path.write_text(source)
+        # The child imports the same package this process imported.
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path), *extra],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr + proc.stdout
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_parse_error(self, tmp_path):
+        line = self.run_cli(tmp_path, "void main() { x = ; }")
+        assert "line 1" in line
+
+    def test_index_out_of_range(self, tmp_path):
+        line = self.run_cli(
+            tmp_path,
+            "void main() { for (int i = 0; i <= n; i++) { A[i] = 1.0; } }",
+            "--array", "A=4:float:zeros", "--scalar", "n=4",
+        )
+        assert line == "error: index 4 out of range for array of 4"
+
+    def test_missing_transfer(self, tmp_path):
+        line = self.run_cli(
+            tmp_path,
+            "void main() {\n"
+            "#pragma offload target(mic:0) in(n) out(B : length(n))\n"
+            "#pragma omp parallel for\n"
+            "    for (int i = 0; i < n; i++) { B[i] = A[i]; }\n}\n",
+            "--array", "A=4:float:ones", "--array", "B=4:float:zeros",
+            "--scalar", "n=4",
+        )
+        assert "never transferred" in line and "'A'" in line
 
 
 class TestBenchCommand:
