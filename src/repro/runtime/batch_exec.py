@@ -63,6 +63,9 @@ from repro.runtime import mathops
 
 __all__ = ["BatchIneligible", "analyze_loop", "try_run_parallel_for"]
 
+#: Site classes the locality model charges as irregular accesses.
+_IRREGULAR = (AccessKind.INDIRECT, AccessKind.NONLINEAR, AccessKind.AFFINE)
+
 
 class BatchIneligible(Exception):
     """Internal signal: fall back to the tree-walking interpreter."""
@@ -376,6 +379,11 @@ class _BatchRunner:
         self.written_by: Dict[Tuple[int, Optional[str]], np.ndarray] = {}
         self.read_max: Dict[Tuple[int, Optional[str]], np.ndarray] = {}
         self.call_stack: Tuple[str, ...] = ()
+        #: (id(site), loop variable) -> [site, lanes charged, lowest
+        #: lane, its integer bindings] for sites not classified yet.
+        self.unclassified: Dict[Tuple[int, str], list] = {}
+        #: False while a loop clause runs uncharged (``_uncounted``).
+        self.counting = True
 
     # -- masks -------------------------------------------------------------
 
@@ -613,29 +621,54 @@ class _BatchRunner:
             counters.loads += n_eff
             if not cached:
                 counters.bytes_read += itemsize * n_eff
-        if not cached and (aos or self._site_irregular(node, frame, eff)):
+        if cached:
+            return
+        if aos:
             counters.irregular_accesses += n_eff
+        else:
+            self._charge_site(node, frame, eff, n_eff)
 
-    def _site_irregular(self, node: ast.Subscript, frame: _Frame, eff) -> bool:
+    def _charge_site(self, node: ast.Subscript, frame: _Frame, eff, n_eff) -> None:
+        """Charge site *node*'s irregular accesses by its class against
+        the innermost loop variable, from the executor's shared cache.
+
+        The tree runs lane by lane, so it classifies a site at the
+        lowest lane that reaches it, at that lane's first reach.  A
+        site not classified yet is therefore only recorded here, and
+        :meth:`settle_sites` classifies and charges it when the entry
+        commits."""
         ex = self.ex
         if not ex._loop_vars:
-            return False
-        var = ex._loop_vars[-1]
-        key = (id(node), var)
-        cached = ex._access_cache.get(key)
-        if cached is None:
-            cached = ex._classify_site(node.index, var, self._int_bindings(frame, eff))
-            ex._access_cache[key] = cached
-        return cached in (
-            AccessKind.INDIRECT,
-            AccessKind.NONLINEAR,
-            AccessKind.AFFINE,
-        )
+            return
+        key = (id(node), ex._loop_vars[-1])
+        cls = ex._access_cache.get(key)
+        if cls is not None:
+            if cls in _IRREGULAR:
+                self.counters.irregular_accesses += n_eff
+            return
+        lane = self._first_active(eff)
+        rec = self.unclassified.get(key)
+        if rec is None:
+            rec = self.unclassified[key] = [node, 0, None, None]
+        if self.counting:
+            rec[1] += n_eff
+        if rec[2] is None or lane < rec[2]:
+            rec[2], rec[3] = lane, self._int_bindings(frame, eff)
+
+    def settle_sites(self) -> None:
+        """Classify the sites this entry reached unclassified and charge
+        them.  Each charge is an integer-valued float below 2**53, so
+        adding them last gives the tree's total exactly."""
+        ex = self.ex
+        for (_, var), (node, count, _, bindings) in self.unclassified.items():
+            cls = ex._classify_site(node.index, var, bindings)
+            ex._access_cache[(id(node), var)] = cls
+            if cls in _IRREGULAR:
+                self.counters.irregular_accesses += count
 
     def _int_bindings(self, frame: _Frame, eff) -> Dict[str, int]:
         """Integer bindings as the tree walker's scope chain would show
-        them, with lane vectors sampled at the first active lane — the
-        lane whose evaluation populates the tree's per-site cache."""
+        them to the first active lane of *eff* (site classification)."""
         lane = self._first_active(eff)
         bindings: Dict[str, int] = {}
         for scope, _ in reversed(frame.scopes):
@@ -1114,11 +1147,13 @@ class _uncounted:
         self.runner = runner
 
     def __enter__(self):
-        self.saved = self.runner.counters.copy()
+        runner = self.runner
+        self.saved = (runner.counters.copy(), runner.counting)
+        runner.counting = False
         return self
 
     def __exit__(self, *exc):
-        self.runner.counters = self.saved
+        self.runner.counters, self.runner.counting = self.saved
         return False
 
 
@@ -1390,6 +1425,7 @@ def _run(executor, loop: ast.For, env):
 
     def commit():
         if runner is not None:
+            runner.settle_sites()
             for key, img in runner.staged.items():
                 runner.real[key][...] = img
         bounds.finalize_induction()

@@ -20,8 +20,9 @@ engine) by construction:
   ``+= 1`` sums exactly.
 * Each access site is classified (unit, affine, indirect, …) against
   the innermost enclosing loop variable through the executor's shared
-  per-site cache, at the first active lane that reaches it, exactly as
-  the batch engine does; its irregular-access charge follows the class.
+  per-site cache, at the lowest lane that reaches it in the first entry
+  that reaches it — the tree's first reach, since the tree runs lane by
+  lane; its irregular-access charge follows the class.
 * Math builtins route through :mod:`repro.runtime.mathops`, the same
   numpy-backed reference implementations the other engines use.
 * Guards become mask refinements with popcount-gated regions; a region
@@ -46,9 +47,16 @@ blend), branch with ``if``/``?:``/``&&``/``||``, call builtins, and
 * read and write a *written* array at one index form ``i + c`` — ``c``
   built from literals and free scalars, the same at every site — so
   lane ``l`` touches only slot ``l + c`` and lanes cannot conflict;
-* run inner ``for`` loops whose init, bound and step are lane-invariant
-  (the counter stays a Python scalar; masked updates of lane locals
-  inside blend as anywhere else);
+* run inner ``for`` loops.  When init, bound and step are lane-invariant
+  the counter stays a Python scalar.  Otherwise (CG's
+  ``j < rowstart[i + 1]``) the loop runs under a live mask that retires
+  each lane whose condition fails, until none is left, so it costs as
+  many full-width iterations as the longest lane's trip count.  Masked
+  updates of lane locals inside blend as anywhere else;
+* update a free scalar once per lane with ``x += e`` or ``x -= e`` (CG's
+  ``pq``) when nothing else in the loop mentions it: the active lanes'
+  values are folded into it in lane order, the tree's order of updates,
+  and the result is written back after the kernel succeeds;
 * call user functions, which are inlined: arguments bind uncoerced, a
   ``return`` narrows the call's mask, recursion is refused.
 
@@ -155,6 +163,13 @@ def _assigned_names(node: ast.Node) -> set:
     }
 
 
+def _mentions(root: Optional[ast.Node], name: str) -> int:
+    """How many times *root* reads or writes the bare name *name*."""
+    if root is None:
+        return 0
+    return sum(1 for n in walk(root) if type(n) is ast.Ident and n.name == name)
+
+
 def _subscripts(root: ast.Node) -> List[ast.Subscript]:
     """Subscript nodes in deterministic pre-order: a site's position in
     this list addresses it in every AST clone of the same loop body or
@@ -182,6 +197,7 @@ class _StaticInfo:
         "inlined",
         "src",
         "subscripts",
+        "reductions",
     )
 
     def __init__(self):
@@ -203,6 +219,9 @@ class _StaticInfo:
         #: Owner ("" = the loop body, else an inlined function's name) ->
         #: its subscript nodes in pre-order: a site's structural address.
         self.subscripts: Dict[str, List[ast.Subscript]] = {}
+        #: Free scalars folded in lane order (``x += e``), in parameter
+        #: order: the kernel returns their final values in this order.
+        self.reductions: List[str] = []
 
     def reject(self, reason: str) -> None:
         self.eligible = False
@@ -235,6 +254,8 @@ class _Screen:
         #: Loop-scope array -> [(index, index is ``i + c`` shaped)].
         self.sites: Dict[str, List[Tuple[ast.Expr, bool]]] = {}
         self.inlined: List[ast.FuncDef] = []
+        #: Free scalar -> its ``+=``/``-=`` updates (fold candidates).
+        self.reductions: Dict[str, List[ast.Assign]] = {}
 
     def _is_local(self, name: str) -> bool:
         return any(name in scope for scope in self.scopes)
@@ -326,15 +347,25 @@ class _Screen:
             if not self.in_func and target.name == self.var:
                 raise CodegenIneligible("write to the induction variable")
             if not self._is_local(target.name):
-                raise CodegenIneligible(
-                    f"assignment to non-local {target.name!r}"
-                )
+                self.reduction(node)
         elif type(target) is ast.Subscript:
             self.subscript(target, write=True)
         else:
             raise CodegenIneligible(
                 f"assignment to {type(target).__name__}"
             )
+
+    def reduction(self, node: ast.Assign) -> None:
+        """A write to a free scalar: only ``x += e`` / ``x -= e`` once
+        per lane (outside inner loops and inlined functions) can be
+        folded in lane order; :func:`analyze_loop` checks the rest."""
+        name = node.target.name
+        if node.op not in ("+=", "-=") or self.in_func:
+            raise CodegenIneligible(f"assignment to non-local {name!r}")
+        if self.loop_depth:
+            raise CodegenIneligible(f"reduction into {name!r} inside an inner loop")
+        self._free(name, subscripted=False)
+        self.reductions.setdefault(name, []).append(node)
 
     def inner_for(self, node: ast.For) -> None:
         if node.pragmas:
@@ -483,6 +514,18 @@ def analyze_loop(
                 raise CodegenIneligible(
                     f"written array {name!r} is not accessed at one index i + c"
                 )
+        for name, updates in screen.reductions.items():
+            # The fold replaces the tree's sequence of updates, so nothing
+            # else may see the accumulator change: no second update, no
+            # other mention in the header or body, none in an inlined
+            # function.
+            clauses = (loop.init, loop.cond, loop.step, loop.body)
+            if (
+                len(updates) > 1
+                or sum(_mentions(c, name) for c in clauses) > 1
+                or any(_mentions(f, name) for f in screen.inlined)
+            ):
+                raise CodegenIneligible(f"assignment to non-local {name!r}")
     except CodegenIneligible as exc:
         info.reject(str(exc))
         return info
@@ -496,6 +539,7 @@ def analyze_loop(
         if name in screen.written
     }
     info.inlined = screen.inlined
+    info.reductions = [n for n in screen.scalars if n in screen.reductions]
     info.subscripts = {"": _subscripts(loop.body)}
     for func in screen.inlined:
         info.subscripts[func.name] = _subscripts(func)
@@ -618,6 +662,7 @@ class _Emitter:
         self.arrays = arrays
         self.scalars = scalars
         self.functions = {f.name: f for f in info.inlined}
+        self.reductions = set(info.reductions)
         self.lines: List[str] = []
         self.indent = 1
         self.counter = 0
@@ -729,10 +774,9 @@ class _Emitter:
             self.line("pass")
         self.indent -= 1
 
-    def uncharged(self, body):
-        """Run *body* in a discard region under the current mask."""
-        region = self.region
-        self.regions.append(_Region(region.mask, region.count, discard=True))
+    def uncharged(self, mask: str, count: str, body):
+        """Run *body* in a discard region under *mask*."""
+        self.regions.append(_Region(mask, count, discard=True))
         self.cse.append({})
         try:
             return body()
@@ -858,8 +902,15 @@ class _Emitter:
         self.frame.scopes[-1][node.name] = _Local(py, val.kind, val.u, self.region)
 
     def emit_assign(self, node: ast.Assign) -> None:
-        val = self.expr(node.value)
         target = node.target
+        if (
+            type(target) is ast.Ident
+            and target.name in self.reductions
+            and self.find_local(target.name) is None
+        ):
+            self.emit_fold(target.name, node)
+            return
+        val = self.expr(node.value)
         if node.op != "=":
             current = (
                 self.ident(target.name)
@@ -871,6 +922,22 @@ class _Emitter:
             self.assign_ident(target.name, val)
         else:
             self.subscript_write(target, val)
+
+    def emit_fold(self, name: str, node: ast.Assign) -> None:
+        """``x += e`` / ``x -= e`` on a free scalar, once per lane: fold
+        the active lanes' values into the accumulator in lane order,
+        which is the tree's order of updates."""
+        val = self.expr(node.value)
+        kind = self.scalars[name]
+        if kind == "i" and val.kind != "i":
+            # The tree truncates an int accumulator after every update.
+            raise CodegenIneligible(f"assignment to non-local {name!r}")
+        region = self.region
+        region.charge("flops" if "f" in (kind, val.kind) else "int_ops", 1)
+        self.line(
+            f"{name} = rt.fold({node.op[0]!r}, {name}, {val.py}, "
+            f"{region.mask}, {region.count})"
+        )
 
     def assign_ident(self, name: str, val: _Val) -> None:
         loc = self.find_local(name)
@@ -917,16 +984,21 @@ class _Emitter:
         return any(returned)
 
     def emit_for(self, node: ast.For) -> None:
-        """A lane-invariant inner loop: a Python ``while`` over a scalar
-        counter.  Init is charged once per active lane; the condition
-        and step are not (the tree's ``_run_loop``)."""
+        """An inner loop: a Python ``while``.  Init is charged once per
+        active lane; the condition and step are not (the tree's
+        ``_run_loop``).
+
+        When the counter and the condition are lane-invariant, the
+        counter stays a Python scalar and the loop breaks when the
+        condition fails.  Otherwise the loop runs under a *live mask*:
+        each iteration tests the condition on the live lanes only,
+        retires the lanes it fails, and breaks when none is left; the
+        body is charged per live lane and the counter blends."""
         frame = self.frame
         frame.scopes.append({})
         try:
             self.emit_decl(node.init)
             counter = frame.scopes[-1][node.init.name]
-            if not counter.u:
-                raise CodegenIneligible("lane-varying inner loop bound")
             body_assigned = _assigned_names(node.body)
             if node.init.name in body_assigned:
                 raise CodegenIneligible("inner loop body assigns its counter")
@@ -941,14 +1013,27 @@ class _Emitter:
                 if loc is not None:
                     carried.append((loc, loc.kind))
                     loc.u = False
+            counter.u = counter.u and self.invariant(node.step.value)
+            varying = not (counter.u and self.invariant(node.cond))
             outer = self.region
-            body_region = self.sub_region(outer.mask, outer.count)
+            mask, count = outer.mask, outer.count
+            if varying:
+                counter.u = False
+                mask, count = self.fresh("m"), self.fresh("n")
+                self.line(f"{mask}, {count} = {outer.mask}, {outer.count}")
             self.loop_vars.append(node.init.name)
             self.line("while True:")
             self.indent += 1
-            truth = self.uncharged(lambda: self.loop_truth(node.cond))
-            self.line(f"if not {truth}:")
+            truth, u = self.uncharged(mask, count, lambda: self.truth_of(node.cond))
+            if varying:
+                self.line(f"{mask}, {count} = rt.refine({mask}, {truth}, {count})")
+                self.line(f"if not {count}:")
+            else:
+                if not u:  # pragma: no cover - invariant() decided
+                    raise CodegenIneligible("lane-varying inner loop condition")
+                self.line(f"if not {truth}:")
             self.line("    break")
+            body_region = _Region(mask, count, outer.discard)
             self.regions.append(body_region)
             self.cse.append({})
             try:
@@ -958,8 +1043,8 @@ class _Emitter:
                 self.regions.pop()
                 self.cse.pop()
             kind = counter.kind
-            self.uncharged(lambda: self.emit_assign(node.step))
-            if not counter.u or counter.kind != kind:
+            self.uncharged(mask, count, lambda: self.emit_assign(node.step))
+            if counter.kind != kind or not (varying or counter.u):
                 raise CodegenIneligible("lane-varying inner loop step")
             self.indent -= 1
             self.loop_vars.pop()
@@ -970,11 +1055,23 @@ class _Emitter:
         finally:
             frame.scopes.pop()
 
-    def loop_truth(self, cond: ast.Expr) -> str:
-        truth, u = self.truth_of(cond)
-        if not u:
-            raise CodegenIneligible("lane-varying inner loop bound")
-        return truth
+    def invariant(self, node: ast.Expr) -> bool:
+        """The ``_Val.u`` :meth:`expr` would give *node* here, without
+        emitting it: a value is lane-invariant exactly when no lane
+        local, loop variable, written array or inlined call feeds it."""
+        bases = set()
+        for n in walk(node):
+            t = type(n)
+            if t is ast.Subscript:
+                if self.array(n.base.name).written:
+                    return False
+                bases.add(id(n.base))
+            elif t is ast.Call:
+                if n.func in self.functions:
+                    return False
+            elif t is ast.Ident and id(n) not in bases and not self.ident(n.name).u:
+                return False
+        return True
 
     def emit_return(self, node: ast.Return) -> None:
         frame = self.frame
@@ -1048,8 +1145,11 @@ class _Emitter:
 
     def site_class(self, node: ast.Subscript, arr: _ArrInfo):
         """The site's irregular flag: 0/1 when its class cannot depend
-        on bindings, else the name of a per-call flag, resolved at the
-        first active lane through the executor's shared site cache."""
+        on bindings, else the name of a per-call flag.  A site the
+        executor's shared cache has not classified yet is 0 for this
+        entry; each reach reports its lanes to ``__cg.reach``, and
+        :func:`_run` classifies the site when the entry succeeds, at the
+        lowest lane that reached it (the tree's first reach)."""
         from repro.runtime.executor import Executor
 
         var = self.loop_vars[-1]
@@ -1063,35 +1163,33 @@ class _Emitter:
                 names.append(n.name)
         deps = []
         if names and _affine_shape(index):
-            mask = self.region.mask
             for name in names:
                 val = self.ident(name)
                 if val.kind != "i":
                     deps = None  # unbound: nonlinear, whatever the rest
                     break
-                free = not (self.find_local(name) or name == self.var)
-                deps.append(
-                    (name, val.py if free else f"rt.lane0({val.py}, {mask})")
-                )
+                deps.append((name, val.py))
         if not deps:
             cls = Executor._classify_site(index, var, {})
             return 1 if cls in _IRREGULAR else 0
-        k = len(self.sites)
-        owner, pos = self.addr[id(node)]
-        self.sites.append((owner, pos, var))
-        flag = f"__cg_ir{k}"
+        key = (*self.addr[id(node)], var)
+        if key not in self.sites:
+            self.sites.append(key)
+        k = self.sites.index(key)
+        region = self.region
+        count = 0 if region.discard else region.count
         items = ", ".join(f"{name!r}: {py}" for name, py in deps)
-        self.line(f"if {flag} is None and not __cg_cached_{arr.name}:")
-        self.line(f"    {flag} = __cg.site({k}, {{{items}}})")
-        return flag
+        self.line(f"if __cg_pk{k} and not __cg_cached_{arr.name}:")
+        self.line(f"    __cg.reach({k}, {region.mask}, {count}, {{{items}}})")
+        return f"__cg_ir{k}"
 
     def charge_access(self, node: ast.Subscript, arr: _ArrInfo, is_write: bool) -> None:
         region = self.region
         region.charge("stores" if is_write else "loads", 1)
+        # An uncharged reach still classifies the site, as in the tree.
+        irregular = self.site_class(node, arr)
         if not region.discard:
-            region.charge_site(
-                arr.name, arr.itemsize, is_write, self.site_class(node, arr)
-            )
+            region.charge_site(arr.name, arr.itemsize, is_write, irregular)
 
     def shift_index(self, node: ast.Subscript) -> None:
         """A written array's ``i + c`` index: its slot is the lane's, so
@@ -1348,12 +1446,14 @@ def generate_source(loop: ast.For, info: _StaticInfo, array_sig, scalar_sig):
         elif arr.name in em.lane_views:
             head.append(f"    {arr.view} = rt.widen({arr.name}[__cg_idx])")
     for k in range(len(em.sites)):
-        head.append(f"    __cg_ir{k} = __cg.irr[{k}]")
+        head.append(f"    __cg_ir{k}, __cg_pk{k} = __cg.irr[{k}]")
 
     tail = []
     for arr in arrays.values():
         if arr.written:
             tail.append(f"    {arr.name}[__cg_wx[{arr.widx}]] = {arr.shadow}")
+    if info.reductions:
+        tail.append(f"    return ({', '.join(info.reductions)},)")
     lines = _insert_dels(head + em.lines + tail, em.deletable | em.local_pys)
     return "\n".join(lines) + "\n", tuple(em.sites)
 
@@ -1598,11 +1698,26 @@ class _RT:
         return _RT.widen(a[idx])
 
     @staticmethod
-    def lane0(v, m):
-        """The value at the first active lane (site classification)."""
+    def fold(op, acc, v, m, n):
+        """``acc += v`` (or ``-=``) for each of the *n* active lanes in
+        lane order, as the tree's sequence of updates computes it.
+
+        Ints are exact in any order.  Floats go through
+        ``ufunc.accumulate``, which applies the operation left to right
+        (``np.sum`` would sum pairwise and round differently); an
+        overflow to infinity is silent, as in Python float arithmetic.
+        A lane-invariant value is added once per active lane."""
         if isinstance(v, np.ndarray):
-            return int(v[0 if m is None else int(np.argmax(m))])
-        return int(v)
+            v = v if m is None else v[m]
+        if type(acc) is int:
+            total = sum(v.tolist()) if isinstance(v, np.ndarray) else v * n
+            return acc + total if op == "+" else acc - total
+        seq = np.empty(n + 1, dtype=np.float64)
+        seq[0] = acc
+        seq[1:] = v
+        ufunc = np.add if op == "+" else np.subtract
+        with np.errstate(all="ignore"):
+            return float(ufunc.accumulate(seq)[-1])
 
     # -- inlined calls -----------------------------------------------------
 
@@ -1821,29 +1936,32 @@ class _RT:
 class _CgCtx:
     """Per-invocation context handed to a generated kernel."""
 
-    __slots__ = ("counters", "scale", "cached_bytes", "irr", "_sites", "_cache")
+    __slots__ = ("counters", "scale", "cached_bytes", "irr", "reached")
 
-    def __init__(self, counters, scale, cached_bytes, irr, sites, cache):
+    def __init__(self, counters, scale, cached_bytes, irr):
         self.counters = counters
         self.scale = scale
         self.cached_bytes = cached_bytes
-        #: Per dynamic site: its irregular flag, or None if unclassified.
+        #: Per dynamic site: ``(irregular flag, unclassified)``.
         self.irr = irr
-        self._sites = sites
-        self._cache = cache
+        #: Unclassified site reached -> ``[lanes charged, lowest lane,
+        #: that lane's integer bindings at its first reach]``.
+        self.reached: Dict[int, list] = {}
 
-    def site(self, k: int, bindings: Dict[str, int]) -> int:
-        """Classify dynamic site *k* at its first active lane, through
-        the executor's shared cache (``Executor._is_irregular_site``)."""
-        from repro.runtime.executor import Executor
-
-        node, var = self._sites[k]
-        key = (id(node), var)
-        cls = self._cache.get(key)
-        if cls is None:
-            cls = Executor._classify_site(node.index, var, bindings)
-            self._cache[key] = cls
-        return 1 if cls in _IRREGULAR else 0
+    def reach(self, k: int, m, n: int, values: Dict[str, object]) -> None:
+        """Record *n* charged lanes reaching unclassified site *k* under
+        mask *m*.  The tree runs lane by lane, so it classifies a site
+        at the lowest lane that reaches it, at that lane's first reach;
+        a reach by a lower lane than any before replaces the bindings."""
+        lane = 0 if m is None else int(np.argmax(m))
+        rec = self.reached.setdefault(k, [0, None, None])
+        rec[0] += n
+        if rec[1] is None or lane < rec[1]:
+            rec[1] = lane
+            rec[2] = {
+                name: int(v[lane]) if isinstance(v, np.ndarray) else int(v)
+                for name, v in values.items()
+            }
 
 
 #: Compiled kernels keyed on (canonical source of the loop and every
@@ -1992,16 +2110,31 @@ def _written_offsets(info: _StaticInfo, bindings: Dict[str, object]) -> Dict[str
 
 def _sites(executor, info: _StaticInfo, fn) -> Tuple[list, list]:
     """Per dynamic site of *fn*: its ``(node, loop variable)`` in this
-    loop and its irregular flag already in the executor's site cache, or
-    None (the kernel classifies it)."""
+    loop and ``(irregular flag, unclassified)`` from the executor's
+    site cache."""
     cache = executor._access_cache
     nodes, flags = [], []
     for owner, pos, var in fn.__cg_sites__:
         node = info.subscripts[owner][pos]
         cls = cache.get((id(node), var))
         nodes.append((node, var))
-        flags.append(None if cls is None else int(cls in _IRREGULAR))
+        flags.append((0, True) if cls is None else (int(cls in _IRREGULAR), False))
     return nodes, flags
+
+
+def _settle_sites(executor, sites, cg: _CgCtx) -> None:
+    """Classify the sites the entry reached unclassified, at the lowest
+    lane that reached each, and charge their irregular accesses.  Each
+    charge is an integer-valued float below 2**53, so adding them last
+    gives the tree's total exactly."""
+    from repro.runtime.executor import Executor
+
+    for k, (count, _, bindings) in cg.reached.items():
+        node, var = sites[k]
+        cls = Executor._classify_site(node.index, var, bindings)
+        executor._access_cache[(id(node), var)] = cls
+        if cls in _IRREGULAR:
+            cg.counters.irregular_accesses += count
 
 
 def _run(executor, loop: ast.For, env, info: _StaticInfo) -> int:
@@ -2023,13 +2156,20 @@ def _run(executor, loop: ast.For, env, info: _StaticInfo) -> int:
         arrays.append(value)
         by_name[py] = value
 
-    scalars, kinds, bindings = [], [], {}
+    scalars, kinds, bindings, acc_types = [], [], {}, []
     for py, name, in_loop in info.scalar_params:
-        value, kind = _scalar_kind(name, (env if in_loop else root).get(name))
+        raw = (env if in_loop else root).get(name)
+        value, kind = _scalar_kind(name, raw)
         scalars.append(value)
         kinds.append(kind)
         if in_loop:
             bindings[name] = value
+        if name in info.reductions:
+            # The write-back keeps the binding's type, as the tree's
+            # updates do; numpy integers would wrap where a fold cannot.
+            if type(raw) not in (int, float, np.float64):
+                raise _TransientBail(f"accumulator {name!r} of {type(raw).__name__}")
+            acc_types.append(type(raw))
     offsets = _written_offsets(info, bindings) if info.written else {}
 
     # Read-only arrays read at the bare loop variable are sliced once,
@@ -2082,16 +2222,14 @@ def _run(executor, loop: ast.For, env, info: _StaticInfo) -> int:
         wx = [lanes + c for c in offsets.values()]
 
     sites, flags = _sites(executor, info, fn)
-    cg = _CgCtx(
-        OpCounters(),
-        executor.machine.scale,
-        executor.CACHED_ARRAY_BYTES,
-        flags,
-        sites,
-        executor._access_cache,
-    )
-    fn(cg, idx, wx, lanes, *arrays, *scalars)
+    cg = _CgCtx(OpCounters(), executor.machine.scale, executor.CACHED_ARRAY_BYTES, flags)
+    accs = fn(cg, idx, wx, lanes, *arrays, *scalars)
+    if cg.reached:
+        _settle_sites(executor, sites, cg)
     executor._ctx.pending.add(cg.counters)
+    if accs:
+        for name, acc_type, value in zip(info.reductions, acc_types, accs):
+            env.set(name, acc_type(value))
     bounds.finalize_induction()
     return trips
 

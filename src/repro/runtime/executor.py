@@ -72,7 +72,7 @@ from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.coi import CoiRuntime
 from repro.runtime.fleet import DeviceFleet
 from repro.runtime.integrity import IntegrityManager
-from repro.runtime.lower import Lowerer, _stmts
+from repro.runtime.lower import Lowerer, _not_an_array, _stmts
 from repro.runtime.values import DeviceSpace, HostSpace
 
 # Flop costs of builtin math calls (rough icc/SVML-like latencies).
@@ -358,7 +358,9 @@ class _HostRootEnv(Env):
         raise self._missing(name)
 
     def set(self, name, value):
-        if name in self.host.arrays and isinstance(value, np.ndarray):
+        if name in self.host.arrays:
+            if not isinstance(value, np.ndarray):
+                raise _not_an_array(name)
             self.host.arrays[name] = value
         else:
             self.host.scalars[name] = value
@@ -395,7 +397,9 @@ class _DeviceRootEnv(Env):
         raise self._missing(name)
 
     def set(self, name, value):
-        if name in self.device.arrays and isinstance(value, np.ndarray):
+        if name in self.device.arrays:
+            if not isinstance(value, np.ndarray):
+                raise _not_an_array(name)
             self.device.arrays[name] = value
         else:
             self.device.scalars[name] = value

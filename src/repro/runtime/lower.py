@@ -201,6 +201,11 @@ def _uninitialized(name: str) -> ExecutionError:
     return ExecutionError(f"variable {name!r} used uninitialized")
 
 
+def _not_an_array(name: str) -> ExecutionError:
+    """Assigning a scalar to a name bound to an array is a program fault."""
+    return ExecutionError(f"cannot assign a non-array value to array {name!r}")
+
+
 # --------------------------------------------------------------------------
 # Static facts about statements
 # --------------------------------------------------------------------------
@@ -292,8 +297,9 @@ class _Unit:
 
     def __init__(self, dynamic, register: bool = True):
         #: Names declared so far in each run-time ``Env`` the unit
-        #: creates, innermost last.
-        self.frames: List[set] = []
+        #: creates, innermost last, each mapped to whether it was
+        #: declared as an array.
+        self.frames: List[Dict[str, bool]] = []
         self.dynamic = dynamic
         #: Whether lowered nodes are program nodes (not transient ones).
         self.register = register
@@ -301,7 +307,7 @@ class _Unit:
     def snapshot(self) -> "_Unit":
         """This view as it stands, for lowering a subtree later."""
         unit = _Unit(self.dynamic, self.register)
-        unit.frames = [set(names) for names in self.frames]
+        unit.frames = [dict(names) for names in self.frames]
         return unit
 
     def where(self, name: str):
@@ -392,7 +398,7 @@ class Lowerer:
         Env = self.Env
         unit = _Unit(_dynamic_names(func.body))
         params = [p.name for p in func.params]
-        unit.frames.append(set(params))
+        unit.frames.append(dict.fromkeys(params, False))
         body = self._stmt(func.body, unit)
         count = len(params)
         name = func.name
@@ -428,7 +434,7 @@ class Lowerer:
         if not own:
             return self._sequence(node.stmts, unit)
         Env = self.Env
-        unit.frames.append(set())
+        unit.frames.append({})
         run = self._sequence(node.stmts, unit)
         unit.frames.pop()
 
@@ -442,7 +448,7 @@ class Lowerer:
         takes an ``Env`` the loop creates once and empties per iteration
         (the body block's own scope)."""
         if type(node) is ast.Block and any(_declares_into(s) for s in node.stmts):
-            unit.frames.append(set())
+            unit.frames.append({})
             run = self._sequence(node.stmts, unit)
             unit.frames.pop()
             return run, True
@@ -559,7 +565,7 @@ class Lowerer:
                 env.declare(name, value(env))
 
             return declare
-        unit.frames[-1].add(name)
+        unit.frames[-1][name] = isinstance(typ, ast.ArrayType)
 
         def declare_local(env):
             env.vars[name] = value(env)
@@ -631,17 +637,31 @@ class Lowerer:
     def _name_store(self, name: str, unit: _Unit) -> Callable:
         """``store(env, value)`` with the executor's assignment rules:
         an undeclared name becomes a root binding, an int-valued binding
-        coerces the value to int."""
+        coerces the value to int, and a name bound to an array takes
+        only an array.  A local declared as an array is known to be one
+        here; any other array binding is found at run time, in the
+        non-int branch, so storing an int costs no extra test."""
         local, hops = unit.where(name)
         up = _up(hops)
+        if local and unit.frames[-1 - hops][name]:
+
+            def store_array(env, value):
+                if not isinstance(value, _ndarray):
+                    raise _not_an_array(name)
+                up(env).vars[name] = value
+
+            return store_array
         if local:
 
             def store(env, value):
                 scope = up(env).vars
-                if value.__class__ is not int and isinstance(
-                    scope[name], _INTS
-                ) and not isinstance(value, _ndarray):
-                    value = _to_int(value)
+                if value.__class__ is not int:
+                    old = scope[name]
+                    if isinstance(old, _INTS):
+                        if not isinstance(value, _ndarray):
+                            value = _to_int(value)
+                    elif isinstance(old, _ndarray) and not isinstance(value, _ndarray):
+                        raise _not_an_array(name)
                 scope[name] = value
 
             return store
@@ -657,8 +677,11 @@ class Lowerer:
                 old = scope.get(name)
             except ExecutionError:
                 old = None
-            if isinstance(old, _INTS) and not isinstance(value, _ndarray):
-                value = _to_int(value)
+            if not isinstance(value, _ndarray):
+                if isinstance(old, _INTS):
+                    value = _to_int(value)
+                elif isinstance(old, _ndarray):
+                    raise _not_an_array(name)
             scope.set(name, value)
 
         return store_outer
@@ -723,7 +746,7 @@ class Lowerer:
         ex, Env = self.ex, self.Env
         own = isinstance(node.init, ast.VarDecl) or _declares_into(node.body)
         if own:
-            unit.frames.append(set())
+            unit.frames.append({})
         init = None if node.init is None else self._stmt(node.init, unit)
         var = _loop_var_name(node)
         cond = None if node.cond is None else self._clause(node.cond, unit)

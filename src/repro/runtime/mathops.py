@@ -65,7 +65,8 @@ __all__ = [
 def scalar_exp(x):
     """``math.exp`` semantics computed through ``np.exp``."""
     x = float(x)
-    r = float(np.exp(x))
+    with np.errstate(over="ignore"):
+        r = float(np.exp(x))
     if math.isinf(r) and not math.isinf(x):
         raise OverflowError("math range error")
     return r

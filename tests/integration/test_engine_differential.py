@@ -147,6 +147,15 @@ def test_codegen_engine_actually_engages():
     )
 
 
+@pytest.mark.parametrize("variant", ["cpu", "mic", "opt"])
+def test_codegen_runs_every_cg_loop(variant):
+    """CG's lane-varying SpMV row loop and its ``pq`` reduction run in
+    codegen: no parallel-loop entry is left to the tree."""
+    stats = _run("CG", "auto", variant).stats
+    assert stats.engine_loops["tree"] == 0, stats.codegen_rejections
+    assert stats.engine_loops["codegen"] > 0
+
+
 @pytest.mark.parametrize("name", ["blackscholes", "kmeans", "CG", "nn"])
 def test_disabled_checkpointing_is_invisible(name):
     """With ``checkpoint_interval=0`` (the default) and no faults, the

@@ -1,13 +1,15 @@
 """Codegen's loop shapes, checked against the tree walker.
 
 Generated parallel loops built from the shapes codegen accepts (affine,
-indirect and lane-invariant gathers, ``i + c`` writes, lane-invariant
-inner loops with masked updates, inlined calls with early returns) must
-run in the codegen tier and match the tree walker's outputs, operation
-counters and simulated time exactly.  Shapes codegen refuses must fall
-down the ladder and still match — including a faulting lane, whose
-exact error and partial writes the tree reproduces.  Integer results
-int64 cannot hold make every engine defer to the tree.
+indirect and lane-invariant gathers, ``i + c`` writes, inner loops with
+masked updates — lane-invariant ones and CSR-style ones whose bounds
+or step vary by lane — inlined calls with early returns, and free
+scalars updated once per lane by ``+=``) must run in the codegen tier
+and match the tree walker's outputs, operation counters, simulated time
+and scalars exactly.  Shapes codegen refuses must fall down the ladder
+and still match — including a faulting lane, whose exact error and
+partial writes the tree reproduces.  Integer results int64 cannot hold
+make every engine defer to the tree.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.minic.parser import parse
+from repro.runtime.codegen import _RT
 from repro.runtime.executor import ExecutionStats, Executor, Machine
 
 ENGINES = ("tree", "batch", "codegen")
@@ -73,11 +76,31 @@ STATEMENTS = (
     "y = y + g(y, {c});",
     "y = y + (int)(x * 4.0) % 5;",
     "out[i + off] = out[i + off] + x;",
+    # CSR rows over ``rs`` (nondecreasing, with empty rows and one long
+    # row): lane-varying bounds, a guard inside, a nested lane-varying
+    # loop, a lane-varying step.
+    "for (int j = rs[i]; j < rs[i + 1]; j++) {{ x = x + v[j] * a[col[j]]; }}",
+    "for (int j = rs[i]; j < rs[i + 1]; j++) "
+    "{{ if (v[j] > s) {{ y = y + 1; }} else {{ x = x - v[j] * 0.5; }} }}",
+    "for (int j = rs[i]; j < rs[i + 1]; j++) "
+    "{{ for (int r = j; r < rs[i + 1]; r++) {{ x = x + v[r] * 0.25; }} }}",
+    "for (int j = rs[i]; j < rs[i + 1]; j += 1 + i % {a}) {{ x = x + v[j]; y = y + j; }}",
+    # A lane-invariant init with a lane-varying condition, and a
+    # condition on a local the body updates.
+    "for (int j = 0; j < i % 5; j++) {{ x = x + w[j]; }}",
+    "for (int j = {c}; j < 8 && x < s + 2.0; j++) {{ x = x + w[j] * 0.5 + 0.25; }}",
+)
+
+#: Free scalars updated once per lane, folded in lane order.
+REDUCTIONS = (
+    "total += x * 0.5;",
+    "if (x > s) { hits += 1; }",
 )
 
 
-def _program(picks):
+def _program(picks, reductions=()):
     body = "\n        ".join(STATEMENTS[k].format(**fill) for k, fill in picks)
+    folds = "\n        ".join(REDUCTIONS[k] for k in reductions)
     return FUNCTIONS + f"""
 void main() {{
     #pragma omp parallel for
@@ -87,6 +110,7 @@ void main() {{
         {body}
         out[i + off] = out[i + off] + x;
         cnt[i] = y;
+        {folds}
     }}
 }}
 """
@@ -116,7 +140,14 @@ def _assert_same_as_tree(src, arrays, scalars, engines=ENGINES[1:]):
         if tree is not None:
             assert result.stats.ops.as_dict() == tree.stats.ops.as_dict(), engine
             assert result.stats.total_time == tree.stats.total_time, engine
+            assert _scalars(result) == _scalars(tree), engine
     return executors
+
+
+def _scalars(result):
+    """Host scalars with their types (an ``np.float64`` binding must
+    stay one)."""
+    return {k: (type(v), repr(v)) for k, v in result.host.scalars.items()}
 
 
 @st.composite
@@ -137,29 +168,41 @@ def _loops(draw):
             max_size=6,
         )
     )
+    reductions = draw(st.lists(st.sampled_from(range(len(REDUCTIONS))), unique=True))
     n = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     fdtype = draw(st.sampled_from([np.float64, np.float32]))
     size = 4 * n + 16
+    # CSR row starts: short rows (some empty) and one long row.
+    lengths = rng.integers(0, 4, n)
+    lengths[draw(st.integers(0, n - 1))] = draw(st.integers(0, 24))
+    rs = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    nnz = max(int(rs[-1]), 1)
     arrays = {
         "a": rng.uniform(-4.0, 4.0, size).astype(fdtype),
         "b": rng.integers(0, size, n).astype(np.int32),
         "w": rng.uniform(-2.0, 2.0, 8),
         "out": rng.uniform(-1.0, 1.0, n + 4).astype(fdtype),
         "cnt": np.zeros(n, dtype=draw(st.sampled_from([np.int32, np.int64]))),
+        "rs": rs,
+        "v": rng.uniform(-2.0, 2.0, nnz).astype(fdtype),
+        "col": rng.integers(0, size, nnz).astype(np.int32),
     }
+    total = draw(st.floats(-3.0, 3.0, allow_nan=False))
     scalars = {
         "n": n,
         "k": draw(st.integers(0, 7)),
         "m": draw(st.integers(0, 8)),
         "off": draw(st.integers(0, 4)),
         "s": draw(st.floats(-3.0, 3.0, allow_nan=False)),
+        "total": draw(st.sampled_from([float, np.float64]))(total),
+        "hits": draw(st.integers(-5, 5)),
     }
-    return _program(picks), arrays, scalars
+    return _program(picks, reductions), arrays, scalars
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_loops())
 def test_generated_loops_run_in_codegen_and_match_tree(case):
     src, arrays, scalars = case
@@ -196,23 +239,95 @@ void main() {{
         ("out[i] = out[i + 1] + a[i];", "i + c"),
         ("out[i] = a[i]; out[i + 1] = a[i];", "i + c"),
         ("out[idx[i]] = a[i];", "i + c"),
+        ("total = total + a[i];", "non-local 'total'"),
+        # bfs's counter: updated several times per lane, interleaved
+        # with other lanes' updates in vector order.
         (
-            "float s = 0.0;"
-            " for (int j = 0; j < idx[i] % 4; j++) { s = s + a[j]; }"
-            " out[i] = s;",
-            "lane-varying inner loop bound",
+            "for (int e = 0; e < 4; e++) { if (idx[i] > e) { found += 1; } }",
+            "reduction into 'found' inside an inner loop",
         ),
-        ("total = total + a[i];", "non-local"),
+        # The tree truncates an int accumulator after every update.
+        ("found += a[i];", "non-local 'found'"),
+        ("total += a[i]; out[i] = total;", "non-local 'total'"),
+        # The header reads the accumulator: the tree's bound shrinks.
+        ("n -= 1; out[i] = 1.0;", "non-local 'n'"),
+        ("total += a[i]; total -= out[i];", "non-local 'total'"),
     ],
 )
 def test_refused_shapes_fall_through_and_match_tree(body, reason):
-    src = _loop(body, prelude="float total = 0.0;")
+    src = _loop(body, prelude="float total = 0.0; int found = 0;")
     executors = _assert_same_as_tree(src, _arrays(), {"n": 32})
     codegen = executors["codegen"]
     assert codegen._codegen_stats["ran"] == 0
     (verdict,) = codegen._codegen_static_cache.values()
     assert reason in verdict.reason
     assert any(reason in r for r in codegen._codegen_rejections)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # A lane-varying trip count runs under a live mask.
+        "float s = 0.0;"
+        " for (int j = 0; j < idx[i] % 4; j++) { s = s + a[j]; }"
+        " out[i] = s;",
+        # CG's SpMV row, its dot product, and a guarded counter.
+        "float sum = 0.0;"
+        " for (int j = idx[i] % 8; j < idx[i] % 8 + i % 3; j++) { sum += a[j] * a[idx[j]]; }"
+        " out[i] = sum;",
+        "total += a[i] * out[i];",
+        "if (a[i] > 0.0) { found += 1; } total -= a[i];",
+    ],
+)
+def test_accepted_shapes_run_in_codegen_and_match_tree(body):
+    # File-scope accumulators: the fold writes back to the host root.
+    src = _loop(body) + "float total = 0.5;\nint found = 3;\n"
+    executors = _assert_same_as_tree(src, _arrays(), {"n": 32})
+    assert executors["codegen"]._codegen_stats["ran"] == 1
+
+
+#: Sites the tree classifies at a lane that reaches them later in vector
+#: order: inside an inner loop, and in a function inlined at two calls.
+LANE_ORDER_SITES = [
+    _loop(
+        "float x = 0.0;"
+        " for (int j = 0; j < 4; j++) { if (j >= 3 - i) { x = x + w[i * j]; } }"
+        " out[i] = x;"
+    ),
+    "float f(int y) { return w[y / 2]; }\n"
+    + _loop("float x = 0.0; if (i > 2) { x = f(i); } x = x + f(i * 2); out[i] = x;"),
+]
+
+
+@pytest.mark.parametrize("engine", ["batch", "codegen"])
+@pytest.mark.parametrize("src", LANE_ORDER_SITES, ids=["inner-loop", "inlined-twice"])
+def test_site_class_follows_the_tree_lane_order(src, engine):
+    arrays = {"w": np.arange(64.0), "out": np.zeros(8)}
+    executors = _assert_same_as_tree(src, arrays, {"n": 8}, engines=(engine,))
+    stats = executors[engine]._collect_stats()
+    assert stats.engine_loops[engine] == 1
+    assert stats.ops.irregular_accesses == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from("+-"),
+    st.integers(0, 100_000),
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+)
+def test_fold_is_the_sequential_update_bit_for_bit(op, length, seed, masked):
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(-30, 30, length)
+    mask = rng.random(length) < 0.5 if masked else None
+    acc = float(rng.standard_normal())
+    active = values if mask is None else values[mask]
+    want = acc
+    for value in active.tolist():
+        want = want + value if op == "+" else want - value
+    got = _RT.fold(op, acc, values, mask, len(active))
+    assert type(got) is float
+    assert got.hex() == want.hex()
 
 
 def test_out_of_range_active_lane_reproduces_tree_error():

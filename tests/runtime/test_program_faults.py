@@ -7,10 +7,12 @@ every failure of the toolchain is a ``ReproError``.  Each case runs
 inside a parallel loop that faults at lane 3 after writing lanes 0-2:
 all four engines raise the same ``ExecutionError`` and leave the same
 partial writes, because the vector engines defer a faulting loop to
-the scalar interpreter.
+the scalar interpreter.  Assigning a scalar to a name bound to an array
+is a fault too.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from repro.errors import ExecutionError
 from repro.faults.campaign import run_campaign
 from repro.faults.policy import ResiliencePolicy
 from repro.minic.parser import parse
-from repro.runtime.executor import ENGINES, Executor, Machine
+from repro.runtime.executor import ENGINES, Executor, Machine, run_program
 
 N = 8
 
@@ -88,7 +90,6 @@ def _run(body: str, engine: str):
     return str(excinfo.value), partial, written.hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("body", list(CASES))
 def test_fault_is_an_execution_error_on_every_engine(body):
     results = {engine: _run(body, engine) for engine in ENGINES}
@@ -96,6 +97,27 @@ def test_fault_is_an_execution_error_on_every_engine(body):
     assert message == CASES[body]
     assert partial, "lanes 0-2 are written, lanes 3+ are not"
     assert all(r == results["tree"] for r in results.values()), results
+
+
+def test_overflowing_exp_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExecutionError, match="math range error in exp"):
+            run_program("void main() { x = exp(1000.0); }", engine="tree")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_assigning_a_scalar_to_a_host_array_raises(engine):
+    arrays = {"A": np.arange(4.0)}
+    with pytest.raises(ExecutionError, match="array 'A'"):
+        run_program("void main() { A = 5; x = A[0]; }", arrays=arrays, engine=engine)
+    assert arrays["A"].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_assigning_a_scalar_to_a_local_array_raises(engine):
+    with pytest.raises(ExecutionError, match="array 'L'"):
+        run_program("void main() { float L[4]; L = 5; x = L; }", engine=engine)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
