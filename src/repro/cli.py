@@ -27,6 +27,18 @@ Commands:
 ``run``, ``bench``, and ``faults`` also accept ``--trace FILE`` to write
 the same Chrome trace alongside their normal output (multi-run commands
 merge each run as its own process lane).
+
+A request has one path whichever command makes it.  ``run``, ``trace``
+and ``tune`` build the :class:`~repro.service.jobs.JobSpec` that
+``submit --kind run`` sends; ``bench`` and ``faults`` build one spec per
+named benchmark.  Every spec is checked by :meth:`JobSpec.validate`, the
+validator the service applies to each submission, before any work
+starts, and ``run`` and ``trace`` execute theirs through
+:func:`~repro.service.jobs.run_job`, the function service run jobs use.
+This module keeps what only a command line needs: the options (each
+shared one defined once, in ``_OPTIONS``), the text of each flag
+(``_parse_rates``, ``_parse_policy``), campaign fan-out and
+human-readable output.
 """
 
 from __future__ import annotations
@@ -64,6 +76,113 @@ EXIT_UNAVAILABLE = 69
 EXIT_TIMEOUT = 124
 
 
+#: Options several commands share, each defined once: flag -> the
+#: keywords of ``add_argument``.  ``_add_options`` adds them by flag.
+_OPTIONS: Dict[str, dict] = {
+    "--array": dict(
+        action="append", default=[], metavar="NAME=SIZE[:DTYPE[:KIND]]",
+        help="declare an input array; DTYPE is float|double|int (default "
+             "float), KIND is zeros|ones|arange|random (default random)",
+    ),
+    "--scalar": dict(action="append", default=[], metavar="NAME=VALUE",
+                     help="declare an input scalar"),
+    "--scale": dict(type=float, default=1.0, help="simulation scale factor"),
+    "--seed": dict(type=int, default=0,
+                   help="seed of random inputs, traces and fault plans "
+                        "(default %(default)s)"),
+    "--optimize": dict(action="store_true",
+                       help="apply the COMP pipeline before running"),
+    "--engine": dict(
+        choices=ENGINES, default=None,
+        help="interpreter engine: generated-numpy codegen, batched numpy "
+             "fast path, the tree walker, or auto, the fastest eligible "
+             "tier (codegen -> batch -> tree); None lets each workload "
+             "pick (default %(default)s)",
+    ),
+    "--variant": dict(choices=("cpu", "mic", "opt"), default="opt"),
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
+        help="fan runs out over N worker processes; results keep their "
+             "order and values for any N (default 1, incompatible with "
+             "--trace)",
+    ),
+    "--devices": dict(
+        type=int, default=1, metavar="N",
+        help="simulate an offload fleet of N devices with block sharding "
+             "and device-loss failover; outputs are bit-identical for any "
+             "N (default 1)",
+    ),
+    "--rate": dict(
+        action="append", default=[], metavar="SITE=PROB",
+        help="override a fault site's per-operation probability (sites: "
+             "h2d d2h kernel alloc signal device arena; silent kinds via "
+             "SITE:KIND, e.g. h2d:silent kernel:sdc; prefix devK: to scope "
+             "a rate to one fleet device)",
+    ),
+    "--policy": dict(
+        action="append", default=[], metavar="KEY=VAL",
+        help="override a ResiliencePolicy knob, e.g. checkpoint_interval=4, "
+             "max_resets=2, backoff_max=0.002, integrity_mode=full; unknown "
+             "keys are errors",
+    ),
+    "--trace": dict(
+        metavar="FILE",
+        help="record every run and write one Chrome/Perfetto trace JSON "
+             "to FILE, one process lane per run",
+    ),
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=int, default=8753,
+                   help="service TCP port; 0 lets serve pick an ephemeral "
+                        "port (default 8753)"),
+    "--workers": dict(
+        type=int, default=0, metavar="N",
+        help="persistent warm worker processes; 0 executes jobs inline on "
+             "the event loop; results are identical for any N (default 0)",
+    ),
+    "--max-depth": dict(type=int, default=64, metavar="N",
+                        help="hard queue-depth ceiling (default %(default)s)"),
+    "--high-water": dict(
+        type=int, default=None, metavar="N",
+        help="queue depth where admission starts rejecting with a "
+             "retry-after hint (default 75%% of --max-depth)",
+    ),
+    "--tenant-rate": dict(type=float, default=None, metavar="R",
+                          help="per-tenant admission rate limit, "
+                               "jobs/second (default off)"),
+    "--tenant-burst": dict(type=float, default=4.0, metavar="B",
+                           help="per-tenant token-bucket burst capacity "
+                                "(default 4)"),
+    "--breaker-failures": dict(type=int, default=None, metavar="K",
+                               help="open a tenant's circuit breaker after "
+                                    "K consecutive job failures (default "
+                                    "off)"),
+    "--breaker-cooldown": dict(type=float, default=30.0, metavar="S",
+                               help="seconds an open breaker sheds load "
+                                    "before its half-open probe (default "
+                                    "%(default)s)"),
+    "--state-dir": dict(
+        metavar="DIR", default=None,
+        help="durability: write-ahead job journal and persistent result "
+             "store under DIR; a restart or rerun on the same DIR recovers "
+             "journaled jobs and stored results instead of recomputing "
+             "(default off)",
+    ),
+    "--sync": dict(choices=("always", "batch", "off"), default="batch",
+                   help="fsync cadence for --state-dir: every append, "
+                        "batched, or never (default batch)"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str,
+                 **changes: dict) -> None:
+    """Add the shared options *flags* to *parser*; a keyword named after
+    an option's dest changes its keywords for this command only
+    (``seed=dict(default=None)``)."""
+    for flag in flags:
+        keywords = {**_OPTIONS[flag], **changes.get(flag[2:].replace("-", "_"), {})}
+        parser.add_argument(flag, **keywords)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -74,6 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    program = ("--array", "--scalar", "--scale", "--seed")
 
     comp = sub.add_parser("compile", help="optimize a MiniC source file")
     comp.add_argument("file", help="MiniC source path ('-' for stdin)")
@@ -89,53 +209,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="execute a MiniC program")
     runp.add_argument("file", help="MiniC source path ('-' for stdin)")
-    runp.add_argument("--array", action="append", default=[],
-                      metavar="NAME=SIZE[:DTYPE[:KIND]]",
-                      help="declare an input array; KIND is zeros|ones|"
-                           "arange|random (default random)")
-    runp.add_argument("--scalar", action="append", default=[],
-                      metavar="NAME=VALUE")
-    runp.add_argument("--scale", type=float, default=1.0,
-                      help="simulation scale factor")
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--optimize", action="store_true",
-                      help="apply the COMP pipeline before running")
-    runp.add_argument("--engine", choices=ENGINES, default="auto",
-                      help="interpreter engine: generated-numpy codegen, "
-                           "batched numpy fast path, or the tree walker; "
-                           "auto picks the fastest eligible tier "
-                           "(codegen -> batch -> tree, default auto)")
+    _add_options(runp, *program, "--optimize", "--engine",
+                 engine=dict(default="auto"))
     runp.add_argument("--print-array", action="append", default=[],
                       metavar="NAME", help="print an array's head afterwards")
     runp.add_argument("--inject-faults", action="store_true",
                       help="run under a fault plan derived from --seed "
                            "and report the recovery stats")
-    runp.add_argument("--devices", type=int, default=1, metavar="N",
-                      help="simulate an offload fleet of N devices with "
-                           "block sharding and device-loss failover; "
-                           "outputs are bit-identical for any N "
-                           "(default 1)")
-    runp.add_argument("--trace", metavar="FILE",
-                      help="record the run and write a Chrome/Perfetto "
-                           "trace JSON to FILE")
+    _add_options(runp, "--devices", "--trace")
 
     trace = sub.add_parser(
         "trace",
         help="execute a program with tracing enabled and export the trace",
     )
     trace.add_argument("file", help="MiniC source path ('-' for stdin)")
-    trace.add_argument("--array", action="append", default=[],
-                       metavar="NAME=SIZE[:DTYPE[:KIND]]",
-                       help="declare an input array; KIND is zeros|ones|"
-                            "arange|random (default random)")
-    trace.add_argument("--scalar", action="append", default=[],
-                       metavar="NAME=VALUE")
-    trace.add_argument("--scale", type=float, default=1.0,
-                       help="simulation scale factor")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--optimize", action="store_true",
-                       help="apply the COMP pipeline before running")
-    trace.add_argument("--engine", choices=ENGINES, default="auto")
+    _add_options(trace, *program, "--optimize", "--engine",
+                 engine=dict(default="auto"))
     trace.add_argument("--out", metavar="FILE", default="trace.json",
                        help="Chrome/Perfetto trace output path "
                             "(default trace.json)")
@@ -147,26 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--check", action="store_true",
                        help="validate the exported trace against the "
                             "Chrome trace-event schema and fail on problems")
+    trace.set_defaults(devices=1)
 
     bench = sub.add_parser("bench", help="run Table II benchmarks")
     bench.add_argument("names", nargs="*", help="benchmark names (default all)")
-    bench.add_argument("--engine", choices=ENGINES, default=None,
-                       help="interpreter engine for all runs: codegen, "
-                            "batch, tree, or auto (default: per-workload)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="reseed workload input generation "
-                            "(default: fixed per-workload inputs)")
-    bench.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan benchmarks out over N worker processes; "
-                            "rows keep their order and values regardless "
-                            "of N (default 1, incompatible with --trace)")
-    bench.add_argument("--devices", type=int, default=1, metavar="N",
-                       help="run every variant on a simulated fleet of N "
-                            "offload devices (default 1); results stay "
-                            "bit-identical for any N")
-    bench.add_argument("--trace", metavar="FILE",
-                       help="record every run and write one merged "
-                            "Chrome/Perfetto trace JSON to FILE")
+    _add_options(bench, "--engine", "--seed", "--jobs", "--devices", "--trace",
+                 seed=dict(default=None,
+                           help="reseed workload input generation "
+                                "(default: fixed per-workload inputs)"))
 
     faults = sub.add_parser(
         "faults",
@@ -176,47 +253,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="benchmark names (default all)")
     faults.add_argument("--scenarios", type=int, default=3,
                         help="fault scenarios per benchmark (default 3)")
-    faults.add_argument("--seed", type=int, default=0,
-                        help="campaign seed; also reseeds workload inputs")
-    faults.add_argument("--variant", choices=("cpu", "mic", "opt"),
-                        default="opt")
-    faults.add_argument("--engine", choices=ENGINES, default=None,
-                        help="interpreter engine for every scenario: "
-                             "codegen, batch, tree, or auto "
-                             "(default: per-workload)")
-    faults.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan scenario cells out over N worker "
-                             "processes; per-cell seeds derive from "
-                             "--seed, so the summary JSON is byte-"
-                             "identical for any N (default 1, "
-                             "incompatible with --trace)")
-    faults.add_argument("--devices", type=int, default=1, metavar="N",
-                        help="run every scenario on a simulated fleet of "
-                             "N offload devices with device-loss failover "
-                             "(default 1); rate keys may target one card "
-                             "with a devK: prefix, e.g. dev1:device")
-    faults.add_argument("--rate", action="append", default=[],
-                        metavar="SITE=PROB",
-                        help="override a fault site's per-operation "
-                             "probability (sites: h2d d2h kernel alloc "
-                             "signal device arena; silent kinds via "
-                             "SITE:KIND, e.g. h2d:silent kernel:sdc; "
-                             "prefix devK: to scope a rate to one fleet "
-                             "device)")
+    _add_options(faults, "--seed", "--variant", "--engine", "--jobs",
+                 "--devices", "--rate",
+                 seed=dict(help="campaign seed; also reseeds workload inputs"))
     faults.add_argument("--list-sites", action="store_true",
                         help="print the site x kind fault taxonomy with "
                              "default rates and exit")
-    faults.add_argument("--policy", action="append", default=[],
-                        metavar="KEY=VAL",
-                        help="override a ResiliencePolicy knob, e.g. "
-                             "checkpoint_interval=4, max_resets=2, "
-                             "backoff_max=0.002, integrity_mode=full; "
-                             "unknown keys are errors")
+    _add_options(faults, "--policy")
     faults.add_argument("--out", metavar="FILE",
                         help="write the campaign summary JSON to FILE")
-    faults.add_argument("--trace", metavar="FILE",
-                        help="record every fault scenario and write one "
-                             "merged Chrome/Perfetto trace JSON to FILE")
+    _add_options(faults, "--trace")
 
     tune = sub.add_parser(
         "tune",
@@ -224,30 +270,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "count (Section III-B)",
     )
     tune.add_argument("file", help="MiniC source path ('-' for stdin)")
-    tune.add_argument("--array", action="append", default=[],
-                      metavar="NAME=SIZE[:DTYPE[:KIND]]")
-    tune.add_argument("--scalar", action="append", default=[],
-                      metavar="NAME=VALUE")
-    tune.add_argument("--scale", type=float, default=1.0)
-    tune.add_argument("--seed", type=int, default=0)
+    _add_options(tune, *program)
+    tune.set_defaults(optimize=False, engine=None, devices=1)
 
     serve = sub.add_parser(
         "serve",
         help="run the campaign service (async job runner over TCP)",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8753,
-                       help="TCP port (0 picks an ephemeral port, "
-                            "default 8753)")
-    serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="persistent warm worker processes; 0 executes "
-                            "jobs inline on the event loop (default 0)")
-    serve.add_argument("--max-depth", type=int, default=64, metavar="N",
-                       help="hard queue-depth ceiling (default 64)")
-    serve.add_argument("--high-water", type=int, default=None, metavar="N",
-                       help="queue depth where admission starts rejecting "
-                            "with a retry-after hint (default 75%% of "
-                            "--max-depth)")
+    _add_options(serve, "--host", "--port", "--workers", "--max-depth",
+                 "--high-water")
     serve.add_argument("--grace-seconds", type=float, default=30.0,
                        metavar="S",
                        help="on SIGTERM/SIGINT/shutdown, wait this long for "
@@ -260,38 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="bound the shared result store to N entries "
                             "with LRU eviction (default unbounded)")
-    serve.add_argument("--tenant-rate", type=float, default=None,
-                       metavar="R",
-                       help="per-tenant admission rate limit, jobs/second "
-                            "(default off)")
-    serve.add_argument("--tenant-burst", type=float, default=4.0,
-                       metavar="B",
-                       help="per-tenant token-bucket burst capacity "
-                            "(default 4)")
-    serve.add_argument("--breaker-failures", type=int, default=None,
-                       metavar="K",
-                       help="open a tenant's circuit breaker after K "
-                            "consecutive job failures (default off)")
-    serve.add_argument("--breaker-cooldown", type=float, default=30.0,
-                       metavar="S",
-                       help="seconds an open breaker sheds load before its "
-                            "half-open probe (default 30)")
-    serve.add_argument("--state-dir", metavar="DIR", default=None,
-                       help="durability: write-ahead job journal + "
-                            "persistent result store under DIR; restart on "
-                            "the same DIR replays the journal and warms "
-                            "the store (default off)")
-    serve.add_argument("--sync", choices=("always", "batch", "off"),
-                       default="batch",
-                       help="fsync cadence for the state dir: every append, "
-                            "batched, or never (default batch)")
+    _add_options(serve, "--tenant-rate", "--tenant-burst", "--breaker-failures",
+                 "--breaker-cooldown", "--state-dir", "--sync")
 
     submit = sub.add_parser(
         "submit",
         help="submit one job to a running campaign service",
     )
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8753)
+    _add_options(submit, "--host", "--port")
     submit.add_argument("--kind", choices=("run", "bench", "faults"),
                         default="bench")
     submit.add_argument("--workload", metavar="NAME",
@@ -299,25 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--file", metavar="FILE",
                         help="MiniC source path for --kind run "
                              "('-' for stdin)")
-    submit.add_argument("--array", action="append", default=[],
-                        metavar="NAME=SIZE[:DTYPE[:KIND]]")
-    submit.add_argument("--scalar", action="append", default=[],
-                        metavar="NAME=VALUE")
-    submit.add_argument("--optimize", action="store_true")
-    submit.add_argument("--scale", type=float, default=1.0)
-    submit.add_argument("--variant", choices=("cpu", "mic", "opt"),
-                        default="opt")
+    _add_options(submit, "--array", "--scalar", "--optimize", "--scale",
+                 "--variant")
     submit.add_argument("--scenario", type=int, default=0,
                         help="fault scenario index (faults kind)")
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--engine", choices=ENGINES, default=None)
-    submit.add_argument("--devices", type=int, default=1, metavar="N")
-    submit.add_argument("--rate", action="append", default=[],
-                        metavar="SITE=PROB",
-                        help="fault rate override (faults kind)")
-    submit.add_argument("--policy", action="append", default=[],
-                        metavar="KEY=VAL",
-                        help="ResiliencePolicy override (faults kind)")
+    _add_options(submit, "--seed", "--engine", "--devices", "--rate",
+                 "--policy")
     submit.add_argument("--job-trace", action="store_true",
                         help="return the job's Chrome trace events in the "
                              "result payload")
@@ -347,11 +341,15 @@ def _build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay-trace",
         help="replay a seeded synthetic traffic trace through the service",
+        description="Replay a seeded synthetic traffic trace through the "
+                    "campaign service.  Queue limits and tenant isolation "
+                    "act in virtual time, so the summary is byte-identical "
+                    "for any worker count.",
     )
     replay.add_argument("--spec", metavar="FILE",
                         help="trace-spec JSON (see docs/service.md); "
                              "flags below are ignored when given")
-    replay.add_argument("--seed", type=int, default=0)
+    _add_options(replay, "--seed")
     replay.add_argument("--requests", type=int, default=24,
                         help="arrivals to generate (default 24)")
     replay.add_argument("--base-rate", type=float, default=2.0,
@@ -366,57 +364,26 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--scenarios", type=int, default=2,
                         help="fault scenario pool for chaos jobs "
                              "(default 2)")
-    replay.add_argument("--engine", choices=ENGINES, default=None)
-    replay.add_argument("--devices", type=int, default=1, metavar="N")
-    replay.add_argument("--rate", action="append", default=[],
-                        metavar="SITE=PROB",
-                        help="fault rates for the chaos job class "
-                             "(default: plan defaults)")
-    replay.add_argument("--policy", action="append", default=[],
-                        metavar="KEY=VAL",
-                        help="ResiliencePolicy overrides for chaos jobs")
+    _add_options(replay, "--engine", "--devices", "--rate", "--policy",
+                 rate=dict(help="fault rates for the chaos job class "
+                                "(default: plan defaults)"),
+                 policy=dict(help="ResiliencePolicy overrides for chaos jobs"))
     replay.add_argument("--model-servers", type=int, default=2, metavar="K",
                         help="abstract servers in the virtual-time queue "
                              "model; part of the spec, NOT the worker "
                              "count (default 2)")
-    replay.add_argument("--max-depth", type=int, default=32, metavar="N")
-    replay.add_argument("--high-water", type=int, default=None, metavar="N")
-    replay.add_argument("--tenant-rate", type=float, default=None,
-                        metavar="R",
-                        help="virtual-time per-tenant rate limit, "
-                             "jobs/second (default off)")
-    replay.add_argument("--tenant-burst", type=float, default=4.0,
-                        metavar="B",
-                        help="per-tenant token-bucket burst (default 4)")
-    replay.add_argument("--breaker-failures", type=int, default=None,
-                        metavar="K",
-                        help="open a tenant's virtual-time breaker after K "
-                             "consecutive failed jobs (default off)")
-    replay.add_argument("--breaker-cooldown", type=float, default=5.0,
-                        metavar="S",
-                        help="virtual seconds an open breaker sheds load "
-                             "(default 5)")
-    replay.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="worker processes for the execution phase; "
-                             "0 = inline; the summary is byte-identical "
-                             "for any value (default 0)")
+    _add_options(replay, "--max-depth", "--high-water", "--tenant-rate",
+                 "--tenant-burst", "--breaker-failures", "--breaker-cooldown",
+                 "--workers", max_depth=dict(default=32),
+                 breaker_cooldown=dict(default=5.0))
     replay.add_argument("--kill-workers", type=int, default=0, metavar="N",
                         help="chaos mode: SIGKILL N pool workers while the "
                              "execution phase runs (requires --workers >= "
                              "1); the summary must stay byte-identical")
-    replay.add_argument("--state-dir", metavar="DIR", default=None,
-                        help="durability: journal the execution phase under "
-                             "DIR; a killed replay rerun on the same DIR "
-                             "recovers journaled jobs and cached results "
-                             "instead of recomputing (default off)")
-    replay.add_argument("--sync", choices=("always", "batch", "off"),
-                        default="batch",
-                        help="fsync cadence for --state-dir (default batch)")
+    _add_options(replay, "--state-dir", "--sync")
     replay.add_argument("--out", metavar="FILE",
                         help="write the replay summary JSON to FILE")
-    replay.add_argument("--trace", metavar="FILE",
-                        help="also record every job and write one merged "
-                             "Chrome/Perfetto trace JSON to FILE")
+    _add_options(replay, "--trace")
 
     sub.add_parser("report", help="regenerate the paper's evaluation")
     return parser
@@ -455,57 +422,103 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_array_spec(spec: str, rng: np.random.Generator) -> tuple:
-    from repro.service.jobs import parse_array_spec
-
+def _checked(*specs) -> None:
+    """Validate job specs with the service's validator; a malformed one
+    ends the command with its one-line error, before any work starts."""
     try:
-        return parse_array_spec(spec, rng)
+        for spec in specs:
+            spec.validate()
     except ValueError as exc:
         raise SystemExit(str(exc))
 
 
-def _parse_scalar_spec(spec: str) -> tuple:
-    from repro.service.jobs import parse_scalar_spec
+def _job_spec(args: argparse.Namespace, kind: str = "run", **fields):
+    """The validated JobSpec that a ``run``, ``trace``, ``tune`` or
+    ``submit`` invocation describes; ``submit`` adds its own *fields*."""
+    from repro.service.jobs import JobSpec
 
-    try:
-        return parse_scalar_spec(spec)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _parse_inputs(args: argparse.Namespace) -> Tuple[dict, dict]:
-    """The (arrays, scalars) bindings of a program-running command."""
-    rng = np.random.default_rng(args.seed)
-    arrays = dict(_parse_array_spec(s, rng) for s in args.array)
-    scalars = dict(_parse_scalar_spec(s) for s in args.scalar)
-    return arrays, scalars
-
-
-def _load_program(args: argparse.Namespace):
-    """Parse (and optionally optimize) the command's source file."""
-    program = parse(_read_source(args.file))
-    if getattr(args, "optimize", False):
-        CompOptimizer().optimize(program)
-    return program
-
-
-def _write_merged_trace(path: str, tracers: Sequence[Tuple[str, object]]) -> None:
-    """Merge several runs' tracers into one Chrome trace file.
-
-    Each run becomes its own process lane (distinct pid + process name),
-    and the combined payload is re-sorted so the file keeps the global
-    monotone-timestamp property the validator checks.
-    """
-    from repro.obs.export import (
-        chrome_trace_events,
-        sort_trace_events,
-        write_chrome_trace,
+    source = None
+    if kind == "run":
+        if not args.file:
+            raise SystemExit("--kind run requires --file")
+        source = _read_source(args.file)
+    spec = JobSpec(
+        kind=kind,
+        source=source,
+        arrays=tuple(args.array),
+        scalars=tuple(args.scalar),
+        optimize=args.optimize,
+        scale=args.scale,
+        seed=args.seed,
+        engine=args.engine,
+        devices=args.devices,
+        **fields,
     )
+    _checked(spec)
+    return spec
 
-    events: list = []
-    for pid, (label, tracer) in enumerate(tracers):
-        events.extend(chrome_trace_events(tracer, pid=pid, process_name=label))
-    write_chrome_trace(path, sort_trace_events(events))
+
+def _parse_rates(specs: Sequence[str]) -> List[Tuple[str, float]]:
+    """``--rate SITE=PROB`` texts as ``(site, rate)`` pairs.
+
+    Only the text is checked here; which sites exist and which rates are
+    probabilities is :func:`repro.faults.plan.check_rates`' to decide.
+    """
+    rates = []
+    for spec in specs:
+        key, _, prob = spec.partition("=")
+        try:
+            rates.append((key, float(prob)))
+        except ValueError:
+            raise SystemExit(
+                f"bad --rate spec {spec!r}: expected SITE=PROB with PROB "
+                "a number"
+            )
+    return rates
+
+
+#: ``--policy`` spellings of a bool knob's values.
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_policy(specs: Sequence[str]) -> dict:
+    """``--policy KEY=VAL`` texts as a dict of typed overrides.
+
+    Each value is read as the type of the knob's default: bools take
+    true/false spellings and ``backoff_max`` also takes ``none``.  How
+    the knobs combine is :func:`repro.service.jobs.check_policy`'s to
+    decide.
+    """
+    from repro.service.jobs import policy_default
+
+    overrides: dict = {}
+    for spec in specs:
+        key, _, raw = spec.partition("=")
+        try:
+            default = policy_default(key)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        try:
+            if not raw:
+                raise ValueError(raw)
+            if isinstance(default, bool):
+                value: object = _BOOLS[raw.lower()]
+            elif isinstance(default, str):
+                value = raw
+            elif isinstance(default, int):
+                value = int(raw)
+            elif default is None and raw.lower() == "none":
+                value = None
+            else:
+                value = float(raw)
+        except (KeyError, ValueError):
+            raise SystemExit(
+                f"bad --policy value in {spec!r}: cannot parse {raw!r} "
+                f"for {key} (default {default!r})"
+            )
+        overrides[key] = value
+    return overrides
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -518,8 +531,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    arrays, scalars = _parse_inputs(args)
-    program = _load_program(args)
+    from repro.service.jobs import run_job
+
+    spec = _job_spec(args)
     fault_plan = None
     if args.inject_faults:
         from repro.faults import FaultPlan
@@ -530,12 +544,9 @@ def _run_command(args: argparse.Namespace) -> int:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    if args.devices < 1:
-        raise SystemExit(f"--devices must be >= 1, got {args.devices}")
-    machine = Machine(scale=args.scale, fault_plan=fault_plan, tracer=tracer,
-                      devices=args.devices)
-    result = run_program(program, arrays=arrays, scalars=scalars,
-                         machine=machine, engine=args.engine)
+    machine = Machine(scale=spec.scale, fault_plan=fault_plan, tracer=tracer,
+                      devices=spec.devices)
+    result = run_job(spec, machine)
     stats = result.stats
     print(f"simulated time      {stats.total_time * 1000:12.3f} ms")
     print(f"device compute      {stats.device_compute_time * 1000:12.3f} ms")
@@ -574,13 +585,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
         write_metrics,
     )
+    from repro.service.jobs import run_job
 
-    arrays, scalars = _parse_inputs(args)
-    program = _load_program(args)
+    spec = _job_spec(args)
     tracer = Tracer()
-    machine = Machine(scale=args.scale, tracer=tracer)
-    run_program(program, arrays=arrays, scalars=scalars,
-                machine=machine, engine=args.engine)
+    run_job(spec, Machine(scale=spec.scale, tracer=tracer,
+                          devices=spec.devices))
 
     events = chrome_trace_events(tracer)
     write_chrome_trace(args.out, events)
@@ -628,16 +638,6 @@ def _print_engagement(tiers: Dict[str, int], rejections: Dict[str, int]) -> None
         print(f"codegen rejected    {count:6d}  {reason}")
 
 
-def _format_bench_row(name: str, result) -> List[str]:
-    return [
-        name,
-        f"{result.unopt_speedup:8.3f}",
-        f"{result.opt_speedup:8.3f}",
-        f"{result.relative_gain:8.2f}",
-        "ok" if result.outputs_match() else "MISMATCH",
-    ]
-
-
 def _bench_row(
     name: str,
     engine: Optional[str],
@@ -654,40 +654,63 @@ def _bench_row(
     return _bench_result_row(name, runner.run_benchmark(name))
 
 
-def _bench_result_row(name: str, result):
-    return _format_bench_row(name, result), [
-        run.stats for run in result.runs.values()
+def _bench_result_row(name: str, result) -> Tuple[List[str], list]:
+    row = [
+        name,
+        f"{result.unopt_speedup:8.3f}",
+        f"{result.opt_speedup:8.3f}",
+        f"{result.relative_gain:8.2f}",
+        "ok" if result.outputs_match() else "MISMATCH",
     ]
+    return row, [run.stats for run in result.runs.values()]
+
+
+def _campaign_names(args: argparse.Namespace, kind: str, **fields) -> list:
+    """The benchmarks a ``bench`` or ``faults`` invocation names (default
+    all), checked before any run starts: the fan-out flags as
+    :func:`~repro.faults.campaign.run_campaign` checks them, and each
+    benchmark as the job spec the service would run for it."""
+    from repro.faults.campaign import validate_fanout
+    from repro.service.jobs import JobSpec
+    from repro.workloads.suite import workload_names
+
+    names = args.names or workload_names()
+    try:
+        validate_fanout(args.jobs, bool(args.trace))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    _checked(*(
+        JobSpec(kind=kind, workload=name, seed=args.seed, engine=args.engine,
+                devices=args.devices, **fields)
+        for name in names
+    ))
+    return names
+
+
+def _run_tracers(args: argparse.Namespace, label: str):
+    """``(tracers, factory)`` of a multi-run command; with no ``--trace``
+    the factory is None (see :func:`repro.service.jobs.tracer_factory`)."""
+    from repro.service.jobs import tracer_factory
+
+    tracers: list = []
+    return tracers, tracer_factory(tracers, label) if args.trace else None
+
+
+def _write_runs_trace(path: str, tracers: list, unit: str) -> None:
+    """Write the runs' tracers to *path* as one trace, a lane per run."""
+    from repro.obs import write_chrome_trace
+    from repro.service.jobs import merged_trace_events
+
+    write_chrome_trace(path, merged_trace_events(tracers))
+    print(f"trace written to {path} ({len(tracers)} {unit})")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.harness import SuiteRunner
     from repro.experiments.report import render_table
-    from repro.workloads.suite import workload_names
 
-    names = args.names or workload_names()
-    unknown = set(names) - set(workload_names())
-    if unknown:
-        raise SystemExit(f"unknown benchmarks: {sorted(unknown)}")
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.devices < 1:
-        raise SystemExit(f"--devices must be >= 1, got {args.devices}")
-    if args.jobs > 1 and args.trace:
-        raise SystemExit(
-            "--trace requires --jobs 1: tracers record in-process and "
-            "cannot be merged back from pool workers"
-        )
-    tracers: list = []
-    tracer_factory = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        def tracer_factory(name: str, variant: str):
-            tracer = Tracer()
-            tracers.append((f"{name}/{variant}", tracer))
-            return tracer
-
+    names = _campaign_names(args, "bench")
+    tracers, tracer_factory = _run_tracers(args, "{}/{}")
     if args.jobs > 1:
         from repro.faults import campaign as _campaign
 
@@ -723,70 +746,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ))
     _print_engagement(*_engagement(stats for _, part in rows for stats in part))
     if args.trace:
-        _write_merged_trace(args.trace, tracers)
-        print(f"trace written to {args.trace} ({len(tracers)} runs)")
+        _write_runs_trace(args.trace, tracers, "runs")
     return 0
-
-
-def _parse_policy_pairs(specs: Sequence[str]) -> dict:
-    """Parse ``KEY=VAL`` policy overrides into a plain dict.
-
-    Values are cast by the type of the field's default (bools accept
-    true/false spellings, ``backoff_max`` additionally accepts ``none``);
-    unknown keys and unparsable values are command-line errors.
-    """
-    import dataclasses
-
-    from repro.faults.policy import ResiliencePolicy
-
-    known = {f.name for f in dataclasses.fields(ResiliencePolicy)}
-    defaults = ResiliencePolicy()
-    overrides: dict = {}
-    for spec in specs:
-        key, _, raw = spec.partition("=")
-        if key not in known or not raw:
-            raise SystemExit(
-                f"bad --policy spec {spec!r}: expected KEY=VAL with KEY "
-                f"one of {sorted(known)}"
-            )
-        default = getattr(defaults, key)
-        try:
-            if isinstance(default, bool):
-                lowered = raw.lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    value: object = True
-                elif lowered in ("0", "false", "no", "off"):
-                    value = False
-                else:
-                    raise ValueError(raw)
-            elif isinstance(default, str):
-                value = raw
-            elif isinstance(default, int):
-                value = int(raw)
-            else:  # float-valued knobs; None defaults (backoff_max) too
-                value = None if raw.lower() == "none" else float(raw)
-        except ValueError:
-            raise SystemExit(
-                f"bad --policy value in {spec!r}: cannot parse {raw!r} "
-                f"for {key} (default {default!r})"
-            )
-        overrides[key] = value
-    return overrides
-
-
-def _parse_policy_overrides(specs: Sequence[str]):
-    """Build a :class:`ResiliencePolicy` from ``KEY=VAL`` overrides.
-
-    An override combination the policy's own validation rejects is a
-    command-line error too.
-    """
-    from repro.faults.policy import ResiliencePolicy
-
-    overrides = _parse_policy_pairs(specs)
-    try:
-        return ResiliencePolicy(**overrides)
-    except ValueError as exc:
-        raise SystemExit(f"bad --policy combination: {exc}")
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -800,7 +761,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         SILENT_KINDS,
         SITE_KINDS,
     )
-    from repro.workloads.suite import workload_names
+    from repro.service.jobs import check_policy
 
     if args.list_sites:
         rows = []
@@ -824,70 +785,23 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         ))
         return 0
 
-    names = args.names or workload_names()
-    unknown = set(names) - set(workload_names())
-    if unknown:
-        raise SystemExit(f"unknown benchmarks: {sorted(unknown)}")
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.devices < 1:
-        raise SystemExit(f"--devices must be >= 1, got {args.devices}")
-    if args.jobs > 1 and args.trace:
-        raise SystemExit(
-            "--trace requires --jobs 1: tracers record in-process and "
-            "cannot be merged back from pool workers"
-        )
-    rates = None
-    if args.rate:
-        from repro.faults import split_device_key
-
-        rates = {}
-        for spec in args.rate:
-            key, _, prob = spec.partition("=")
-            _, bare = split_device_key(key)
-            site, _, kind = bare.partition(":")
-            valid = bare in FAULT_SITES or (
-                site in FAULT_SITES and kind in SILENT_KINDS.get(site, ())
-            )
-            if not valid or not prob:
-                raise SystemExit(
-                    f"bad --rate spec {spec!r}: expected SITE=PROB or "
-                    f"SITE:KIND=PROB with SITE in {FAULT_SITES} "
-                    f"(silent kinds: "
-                    + ", ".join(
-                        f"{s}:{k}"
-                        for s in FAULT_SITES
-                        for k in SILENT_KINDS.get(s, ())
-                    )
-                    + "; prefix devK: to target one fleet device)"
-                )
-            rates[key] = float(prob)
-    policy = _parse_policy_overrides(args.policy) if args.policy else None
-    tracers: list = []
-    tracer_factory = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        def tracer_factory(name: str, scenario: int):
-            tracer = Tracer()
-            tracers.append((f"{name}/scenario{scenario}", tracer))
-            return tracer
-
-    try:
-        result = run_campaign(
-            names=names,
-            scenarios=args.scenarios,
-            seed=args.seed,
-            variant=args.variant,
-            engine=args.engine,
-            rates=rates,
-            policy=policy,
-            tracer_factory=tracer_factory,
-            jobs=args.jobs,
-            devices=args.devices,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    rates = _parse_rates(args.rate)
+    policy = _parse_policy(args.policy)
+    names = _campaign_names(args, "faults", variant=args.variant,
+                            rates=rates, policy=policy)
+    tracers, tracer_factory = _run_tracers(args, "{}/scenario{}")
+    result = run_campaign(
+        names=names,
+        scenarios=args.scenarios,
+        seed=args.seed,
+        variant=args.variant,
+        engine=args.engine,
+        rates=dict(rates) or None,
+        policy=check_policy(policy.items()),
+        tracer_factory=tracer_factory,
+        jobs=args.jobs,
+        devices=args.devices,
+    )
     if result.partial:
         done = len(result.outcomes)
         total = len(names) * args.scenarios
@@ -959,8 +873,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             json.dump(result.as_dict(), handle, indent=2)
         print(f"summary written to {args.out}")
     if args.trace:
-        _write_merged_trace(args.trace, tracers)
-        print(f"trace written to {args.trace} ({len(tracers)} scenarios)")
+        _write_runs_trace(args.trace, tracers, "scenarios")
     if not result.ok:
         print("FAULT CAMPAIGN CONTRACT VIOLATED", file=sys.stderr)
         return 1
@@ -1041,49 +954,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _job_spec_from_args(args: argparse.Namespace):
-    """Build the JobSpec a ``submit`` invocation describes."""
-    from repro.service.jobs import JobSpec
-
-    source = None
-    if args.kind == "run":
-        if not args.file:
-            raise SystemExit("--kind run requires --file")
-        source = _read_source(args.file)
-    rates = []
-    for spec in args.rate:
-        key, _, prob = spec.partition("=")
-        if not prob:
-            raise SystemExit(f"bad --rate spec {spec!r}: expected SITE=PROB")
-        try:
-            rates.append((key, float(prob)))
-        except ValueError:
-            raise SystemExit(
-                f"bad --rate spec {spec!r}: {prob!r} is not a number"
-            )
-    policy = sorted(_parse_policy_pairs(args.policy).items())
-    return JobSpec(
-        kind=args.kind,
-        workload=args.workload,
-        variant=args.variant,
-        scenario=args.scenario,
-        source=source,
-        arrays=tuple(args.array),
-        scalars=tuple(args.scalar),
-        optimize=args.optimize,
-        scale=args.scale,
-        seed=args.seed,
-        engine=args.engine,
-        devices=args.devices,
-        rates=tuple(rates),
-        policy=tuple(policy),
-        trace=args.job_trace,
-        priority=args.priority,
-        tenant=args.tenant,
-        deadline_seconds=args.deadline_seconds,
-    )
-
-
 def _submit_once(args: argparse.Namespace, spec) -> "tuple[int, float]":
     """One submission attempt: ``(exit code, server retry_after hint)``."""
     import json
@@ -1147,11 +1017,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--retry-base must be > 0, got {args.retry_base}"
         )
-    spec = _job_spec_from_args(args)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    spec = _job_spec(
+        args,
+        kind=args.kind,
+        workload=args.workload,
+        variant=args.variant,
+        scenario=args.scenario,
+        rates=_parse_rates(args.rate),
+        policy=_parse_policy(args.policy),
+        trace=args.job_trace,
+        priority=args.priority,
+        tenant=args.tenant,
+        deadline_seconds=args.deadline_seconds,
+    )
     attempts = args.retries + 1
     for attempt in range(attempts):
         code, retry_hint = _submit_once(args, spec)
@@ -1201,19 +1079,6 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
                     f"(edit {args.spec} or drop --trace)"
                 )
         else:
-            rates = []
-            for raw in args.rate:
-                key, _, prob = raw.partition("=")
-                if not prob:
-                    raise SystemExit(
-                        f"bad --rate spec {raw!r}: expected SITE=PROB"
-                    )
-                try:
-                    rates.append((key, float(prob)))
-                except ValueError:
-                    raise SystemExit(
-                        f"bad --rate spec {raw!r}: {prob!r} is not a number"
-                    )
             spec = TraceSpec(
                 seed=args.seed,
                 requests=args.requests,
@@ -1224,8 +1089,8 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
                 scenarios=args.scenarios,
                 engine=args.engine,
                 devices=args.devices,
-                rates=tuple(rates),
-                policy=tuple(sorted(_parse_policy_pairs(args.policy).items())),
+                rates=_parse_rates(args.rate),
+                policy=_parse_policy(args.policy),
                 traced=bool(args.trace),
                 model_servers=args.model_servers,
                 max_depth=args.max_depth,
@@ -1334,18 +1199,17 @@ def _cmd_report(_args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.service.jobs import bind_inputs
     from repro.transforms.autotune import tune_streaming
 
-    source = _read_source(args.file)
-    rng = np.random.default_rng(args.seed)
-    array_specs = [_parse_array_spec(s, rng) for s in args.array]
-    scalars = dict(_parse_scalar_spec(s) for s in args.scalar)
+    spec = _job_spec(args)
+    arrays, scalars = bind_inputs(spec)
 
     def arrays_factory():
-        return {name: value.copy() for name, value in array_specs}
+        return {name: value.copy() for name, value in arrays.items()}
 
     program, profile = tune_streaming(
-        source, arrays_factory, scalars, scale=args.scale
+        spec.source, arrays_factory, scalars, scale=args.scale
     )
     tuned = run_program(
         program, arrays=arrays_factory(), scalars=dict(scalars),

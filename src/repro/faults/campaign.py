@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.faults.plan import FaultPlan, split_device_key
+from repro.faults.plan import FaultPlan, check_rates, split_device_key
 from repro.faults.policy import ResiliencePolicy
 from repro.faults.stats import FaultStats
 from repro.hardware.device import PROBE_SEMANTICS
@@ -254,24 +254,27 @@ def validate_campaign_config(
 ) -> None:
     """Reject rate/policy combinations the device context cannot honour.
 
-    Every error names the offending key exactly as the user wrote it —
-    including its ``devK:`` scope — so a multi-site plan cannot hide a
-    bad device-scoped key behind a zero rate or a fleet-wide default.
+    Checks the device count, the rates themselves (:func:`check_rates`)
+    and how they combine with the policy and the fleet.  Every error
+    names the offending key exactly as the user wrote it — including its
+    ``devK:`` scope — so a multi-site plan cannot hide a bad
+    device-scoped key behind a zero rate or a fleet-wide default.
     """
     if devices < 1:
-        raise ValueError(f"device count must be >= 1, got {devices}")
+        raise ValueError(f"--devices must be >= 1, got {devices}")
+    check_rates(rates or {})
     for key in sorted(rates or {}):
         dev_index, rest = split_device_key(key)
         site = rest.partition(":")[0]
         if dev_index is not None and dev_index >= devices:
             raise ValueError(
-                f"fault rate key {key!r} targets device dev{dev_index}, but "
+                f"--rate key {key!r} targets device dev{dev_index}, but "
                 f"the campaign runs {devices} device(s) (numbered dev0.."
                 f"dev{devices - 1}); raise --devices or drop the key"
             )
         if dev_index is not None and devices == 1:
             raise ValueError(
-                f"fault rate key {key!r} is scoped to dev{dev_index}, but a "
+                f"--rate key {key!r} is scoped to dev{dev_index}, but a "
                 f"one-card run draws its faults without a device index; "
                 f"drop the 'dev{dev_index}:' prefix and write {rest!r}"
             )
@@ -282,7 +285,7 @@ def validate_campaign_config(
             and policy.checkpoint_interval <= 0
         ):
             raise ValueError(
-                f"rate key {key!r} schedules device resets but the "
+                f"--rate key {key!r} schedules device resets but the "
                 f"single-device policy has checkpointing disabled; set "
                 f"checkpoint_interval > 0 (e.g. --policy "
                 f"checkpoint_interval=4) so resets are survivable, or run "
@@ -298,6 +301,18 @@ def validate_campaign_config(
             f"re-admission probe cost ({PROBE_SEMANTICS.cost}) when running "
             f"with --devices {devices}: a retry pause longer than a probe "
             f"round trip starves the scheduler's health checks"
+        )
+
+
+def validate_fanout(jobs: int, traced: bool) -> None:
+    """Reject a worker count below one, and tracing over more than one
+    worker: tracers record in-process and cannot cross processes."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    if jobs > 1 and traced:
+        raise ValueError(
+            "--trace requires --jobs 1: tracers record in-process and "
+            "cannot be merged back from pool workers"
         )
 
 
@@ -341,13 +356,7 @@ def run_campaign(
 
     names = list(names) if names else workload_names()
     policy = policy or ResiliencePolicy()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and tracer_factory is not None:
-        raise ValueError(
-            "campaign tracing requires --jobs 1: tracers record in-process "
-            "and cannot be merged back from pool workers"
-        )
+    validate_fanout(jobs, tracer_factory is not None)
     validate_campaign_config(rates, policy, devices)
     result = CampaignResult(
         seed=seed, scenarios=scenarios, variant=variant, engine=engine,

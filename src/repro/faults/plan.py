@@ -146,6 +146,30 @@ def _valid_rate_key(key: object) -> bool:
     return site in SITE_KINDS and kind in SILENT_KINDS.get(site, ())
 
 
+def check_rates(rates: Dict[str, float]) -> None:
+    """Reject rates no plan can draw: each key must be a fault site or a
+    ``site:kind`` silent rate, optionally ``devK:``-scoped, and each rate
+    a finite probability in [0, 1].  Messages name the ``--rate`` flag."""
+    unknown = sorted((k for k in rates if not _valid_rate_key(k)), key=repr)
+    if unknown:
+        raise ValueError(
+            f"bad --rate spec: unknown fault sites {unknown}; expected "
+            f"SITE=PROB or SITE:KIND=PROB with SITE in {FAULT_SITES}, "
+            "optionally prefixed devK: (repro faults --list-sites lists them)"
+        )
+    for key, value in rates.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or not 0.0 <= value <= 1.0
+        ):
+            raise ValueError(
+                f"bad --rate spec {key!r}: rate {value!r} is not a finite "
+                f"probability in [0, 1]"
+            )
+
+
 def _normalize_rate_key(key: str) -> str:
     """Collapse a ``site:kind`` key to ``site`` on all-silent sites.
 
@@ -242,20 +266,7 @@ class FaultPlan:
     ):
         if rates is None:
             rates = dict(DEFAULT_RATES) if seed is not None else {}
-        unknown = {key for key in rates if not _valid_rate_key(key)}
-        if unknown:
-            raise ValueError(f"unknown fault sites in rates: {sorted(unknown)}")
-        for key, value in rates.items():
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or not 0.0 <= value <= 1.0
-            ):
-                raise ValueError(
-                    f"fault rate for site {key!r} must be a finite "
-                    f"probability in [0, 1], got {value!r}"
-                )
+        check_rates(rates)
         self.seed = seed
         self.rates = {_normalize_rate_key(k): float(v) for k, v in rates.items()}
         self.max_faults = max_faults

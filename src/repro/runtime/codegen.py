@@ -2223,7 +2223,11 @@ def _run(executor, loop: ast.For, env, info: _StaticInfo) -> int:
 
     sites, flags = _sites(executor, info, fn)
     cg = _CgCtx(OpCounters(), executor.machine.scale, executor.CACHED_ARRAY_BYTES, flags)
-    accs = fn(cg, idx, wx, lanes, *arrays, *scalars)
+    # Masked-off lanes compute too, and may overflow where the tree,
+    # whose Python floats never warn, evaluates nothing; every fault the
+    # tree raises is checked explicitly (mathops), not by numpy's state.
+    with np.errstate(all="ignore"):
+        accs = fn(cg, idx, wx, lanes, *arrays, *scalars)
     if cg.reached:
         _settle_sites(executor, sites, cg)
     executor._ctx.pending.add(cg.counters)

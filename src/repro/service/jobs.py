@@ -15,9 +15,16 @@ Two properties carry the whole determinism story:
   clients and across worker processes;
 * :func:`execute_job` is a module-level pure function of the spec dict.
   Its result — output digests, op counters, simulated times, fault
-  stats — is bit-identical to running the same job directly through the
-  CLI (``repro run`` / ``repro bench`` / ``repro faults``), which the
-  service smoke tests assert digest-for-digest.
+  stats — is what the CLI computes for the same job by construction:
+  ``repro run`` and ``repro trace`` build the spec ``submit --kind run``
+  sends, check it with :meth:`JobSpec.validate` and execute it through
+  :func:`run_job`, the function run jobs use, while bench and faults
+  jobs call the harness entry points ``repro bench`` and ``repro
+  faults`` call (``SuiteRunner.run_benchmark``, ``scenario_cell``).
+
+:meth:`JobSpec.validate` is the one validator of a request: the service
+applies it to every submission and the CLI to every spec it builds, so a
+spec it accepts can fail only on its program, never on its input.
 
 Workers stay warm: each pool process keeps memoized
 :class:`~repro.experiments.harness.SuiteRunner` instances (whose caches
@@ -44,40 +51,55 @@ _DTYPES = {
     "int": np.int32,
 }
 
+#: Array fills by KIND; ``random`` draws from the run's generator.
+_FILLS = {"zeros": np.zeros, "ones": np.ones, "arange": np.arange}
+_ARRAY_KINDS = (*_FILLS, "random")
+
 
 # -- input-binding parsers ----------------------------------------------------
 #
 # The canonical parsers for the CLI's NAME=SIZE[:DTYPE[:KIND]] array and
-# NAME=VALUE scalar specs.  They raise ValueError so programmatic callers
-# (the service, the wire protocol) get a normal exception; the CLI wraps
-# them in SystemExit.
+# NAME=VALUE scalar specs.  They raise ValueError naming the flag, so
+# programmatic callers (the service, the wire protocol) get a normal
+# exception and the CLI prints the message as it is.
+
+
+def split_array_spec(spec: str) -> Tuple[str, int, type, str]:
+    """Split and check one ``NAME=SIZE[:DTYPE[:KIND]]`` array binding.
+
+    Returns ``(name, size, dtype, kind)`` and allocates nothing, so the
+    service can check a spec on its event loop.
+    """
+    name, _, rest = spec.partition("=")
+    parts = rest.split(":")
+    if not rest or len(parts) > 3:
+        raise ValueError(
+            f"bad --array spec {spec!r}: expected NAME=SIZE[:DTYPE[:KIND]]"
+        )
+    size_text, dtype, kind = parts + ["float", "random"][len(parts) - 1:]
+    try:
+        size = int(size_text)
+    except ValueError:
+        raise ValueError(
+            f"bad --array spec {spec!r}: size {size_text!r} is not an integer"
+        )
+    if size < 0:
+        raise ValueError(f"bad --array spec {spec!r}: size {size} is negative")
+    for part, value, known in (("dtype", dtype, _DTYPES), ("kind", kind, _ARRAY_KINDS)):
+        if value not in known:
+            raise ValueError(
+                f"bad --array spec {spec!r}: {part} {value!r} is not one of "
+                + "|".join(known)
+            )
+    return name, size, _DTYPES[dtype], kind
 
 
 def parse_array_spec(spec: str, rng: np.random.Generator) -> tuple:
     """Parse one ``NAME=SIZE[:DTYPE[:KIND]]`` array binding."""
-    name, _, rest = spec.partition("=")
-    if not rest:
-        raise ValueError(f"bad --array spec {spec!r}: expected NAME=SIZE[...]")
-    parts = rest.split(":")
-    try:
-        size = int(parts[0])
-    except ValueError:
-        raise ValueError(
-            f"bad --array spec {spec!r}: size {parts[0]!r} is not an integer"
-        )
-    dtype = _DTYPES.get(parts[1] if len(parts) > 1 else "float", np.float32)
-    kind = parts[2] if len(parts) > 2 else "random"
-    if kind == "zeros":
-        value = np.zeros(size, dtype=dtype)
-    elif kind == "ones":
-        value = np.ones(size, dtype=dtype)
-    elif kind == "arange":
-        value = np.arange(size, dtype=dtype)
-    elif kind == "random":
-        value = (rng.random(size) * 100).astype(dtype)
-    else:
-        raise ValueError(f"bad array kind {kind!r}")
-    return name, value
+    name, size, dtype, kind = split_array_spec(spec)
+    if kind == "random":
+        return name, (rng.random(size) * 100).astype(dtype)
+    return name, _FILLS[kind](size, dtype=dtype)
 
 
 def parse_scalar_spec(spec: str) -> tuple:
@@ -95,6 +117,60 @@ def parse_scalar_spec(spec: str) -> tuple:
                 f"bad --scalar spec {spec!r}: {rest!r} is not a number"
             )
     return name, value
+
+
+def bind_inputs(spec: "JobSpec") -> Tuple[Dict[str, np.ndarray], dict]:
+    """The ``(arrays, scalars)`` a run spec binds; random arrays draw, in
+    order, from one generator seeded by the spec."""
+    rng = np.random.default_rng(spec.seed or 0)
+    arrays = dict(parse_array_spec(s, rng) for s in spec.arrays)
+    scalars = dict(parse_scalar_spec(s) for s in spec.scalars)
+    return arrays, scalars
+
+
+def policy_default(knob: str) -> object:
+    """The default of ResiliencePolicy knob *knob*, whose type an
+    override must have; an unknown knob is a ``--policy`` error."""
+    from repro.faults.policy import ResiliencePolicy
+
+    defaults = {f.name: f.default for f in dataclasses.fields(ResiliencePolicy)}
+    if knob not in defaults:
+        raise ValueError(
+            f"bad --policy spec {knob!r}: expected KEY=VAL with KEY one of "
+            f"{sorted(defaults)}"
+        )
+    return defaults[knob]
+
+
+def _fits(value: object, default: object) -> bool:
+    """Whether *value* has the type of *default*; an int serves a float
+    knob, and a number or None serves ``backoff_max``."""
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) or (default is value is None)
+
+
+def check_policy(pairs) -> "ResiliencePolicy":
+    """The ResiliencePolicy that ``(knob, value)`` overrides describe;
+    an unknown knob, a value of the wrong type or a combination the
+    policy rejects is a ``--policy`` error."""
+    from repro.faults.policy import ResiliencePolicy
+
+    for knob, value in pairs:
+        default = policy_default(knob)
+        if not _fits(value, default):
+            raise ValueError(
+                f"bad --policy value {knob}={value!r}: expected a value "
+                f"like the default {default!r}"
+            )
+    try:
+        return ResiliencePolicy(**dict(pairs))
+    except ValueError as exc:
+        raise ValueError(f"bad --policy combination: {exc}")
 
 
 def digest_array(value: np.ndarray) -> str:
@@ -205,7 +281,13 @@ class JobSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Reject malformed specs with errors naming the offending field."""
+        """Reject every spec :func:`execute_job` could fail only on its input.
+
+        Errors name the offending field, by its CLI flag where it has one.
+        The service runs this on its event loop for every submission, so
+        it checks text and numbers only: it allocates no array and never
+        parses the source.
+        """
         from repro.runtime.executor import ENGINES
         from repro.workloads.suite import workload_names
 
@@ -219,8 +301,9 @@ class JobSpec:
                 f"unknown engine {self.engine!r}: valid engines are "
                 + ", ".join(ENGINES)
             )
-        if self.devices < 1:
-            raise ValueError(f"devices must be >= 1, got {self.devices}")
+        if self.seed is not None and self.seed < 0:
+            # Inputs and fault plans seed numpy generators, which refuse it.
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
@@ -228,17 +311,28 @@ class JobSpec:
         if self.kind == "run":
             if not self.source:
                 raise ValueError("run job needs MiniC source text")
-        else:
-            if self.workload not in workload_names():
-                raise ValueError(
-                    f"unknown workload {self.workload!r}; "
-                    f"know {sorted(workload_names())}"
-                )
+            for text in self.arrays:
+                split_array_spec(text)
+            for text in self.scalars:
+                parse_scalar_spec(text)
+        elif self.workload not in workload_names():
+            raise ValueError(
+                f"unknown workload {self.workload!r}; "
+                f"know {sorted(workload_names())}"
+            )
         if self.kind == "faults":
             if self.scenario < 0:
                 raise ValueError(f"scenario must be >= 0, got {self.scenario}")
             if self.variant not in ("cpu", "mic", "opt"):
                 raise ValueError(f"unknown variant {self.variant!r}")
+            from repro.faults.campaign import validate_campaign_config
+
+            # Also checks the device count, as a campaign does.
+            validate_campaign_config(
+                dict(self.rates), check_policy(self.policy), self.devices
+            )
+        elif self.devices < 1:
+            raise ValueError(f"--devices must be >= 1, got {self.devices}")
 
     # -- wire format --------------------------------------------------------
 
@@ -319,7 +413,21 @@ def _stats_summary(stats) -> dict:
     }
 
 
-def _merged_trace_events(tracers) -> list:
+def tracer_factory(tracers: list, label: str):
+    """A ``factory(name, part)`` giving each run of a multi-run job a
+    tracer of its own, appended to *tracers* as ``label.format(name,
+    part)``; :func:`merged_trace_events` folds them into one trace."""
+    from repro.obs import Tracer
+
+    def factory(name: str, part) -> Tracer:
+        tracer = Tracer()
+        tracers.append((label.format(name, part), tracer))
+        return tracer
+
+    return factory
+
+
+def merged_trace_events(tracers) -> list:
     """Fold per-run tracers into one sorted event list (own pid each)."""
     from repro.obs.export import chrome_trace_events, sort_trace_events
 
@@ -329,30 +437,48 @@ def _merged_trace_events(tracers) -> list:
     return sort_trace_events(events)
 
 
-def _execute_run(spec: JobSpec) -> dict:
+def run_job(spec: JobSpec, machine):
+    """Run a ``run`` spec's program on *machine*; returns the
+    :class:`~repro.runtime.executor.ExecutionResult`.
+
+    Binds the spec's inputs, parses its source, applies the COMP pipeline
+    if the spec asks, and executes.  The caller builds the machine: the
+    service from the spec alone, ``repro run`` with its fault plan and
+    tracer too.  ``parse`` and ``run_program`` are looked up at call
+    time, so wrappers installed on their modules see every run.
+    """
     from repro.minic.parser import parse
-    from repro.runtime.executor import Machine, run_program
+    from repro.runtime.executor import run_program
     from repro.transforms.pipeline import CompOptimizer
 
-    rng = np.random.default_rng(spec.seed or 0)
-    arrays = dict(parse_array_spec(s, rng) for s in spec.arrays)
-    scalars = dict(parse_scalar_spec(s) for s in spec.scalars)
+    arrays, scalars = bind_inputs(spec)
     program = parse(spec.source)
     if spec.optimize:
         CompOptimizer().optimize(program)
-    tracer = None
-    tracers = []
-    if spec.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        tracers.append((spec.label(), tracer))
-    machine = Machine(scale=spec.scale, tracer=tracer, devices=spec.devices)
-    result = run_program(
+    return run_program(
         program, arrays=arrays, scalars=scalars, machine=machine,
         engine=spec.engine or "auto",
     )
-    payload = {
+
+
+def _job_tracer(spec: JobSpec, tracers: list):
+    """The tracer of a traced one-run job, recorded in *tracers* under
+    the job's label; None when the job is not traced."""
+    if not spec.trace:
+        return None
+    from repro.obs import Tracer
+
+    tracers.append((spec.label(), Tracer()))
+    return tracers[-1][1]
+
+
+def _execute_run(spec: JobSpec, tracers: list) -> dict:
+    from repro.runtime.executor import Machine
+
+    tracer = _job_tracer(spec, tracers)
+    machine = Machine(scale=spec.scale, tracer=tracer, devices=spec.devices)
+    result = run_job(spec, machine)
+    return {
         "sim_time": result.stats.total_time,
         "outputs": digest_arrays(machine.host.arrays),
         "stats": _stats_summary(result.stats),
@@ -360,28 +486,18 @@ def _execute_run(spec: JobSpec) -> dict:
         "ok": True,
         "error": None,
     }
-    if spec.trace:
-        payload["trace_events"] = _merged_trace_events(tracers)
-    return payload
 
 
-def _execute_bench(spec: JobSpec) -> dict:
+def _execute_bench(spec: JobSpec, tracers: list) -> dict:
     runner = _warm_runner(spec.engine, spec.seed, spec.devices)
-    tracers = []
     if spec.trace:
         # Traced bench runs bypass the warm runner: its cache would make
         # the trace depend on what previous jobs already ran.
         from repro.experiments.harness import SuiteRunner
-        from repro.obs import Tracer
-
-        def factory(name, variant):
-            tracer = Tracer()
-            tracers.append((f"{name}/{variant}", tracer))
-            return tracer
 
         runner = SuiteRunner(
             engine=spec.engine, seed=spec.seed, devices=spec.devices,
-            tracer_factory=factory,
+            tracer_factory=tracer_factory(tracers, "{}/{}"),
         )
     result = runner.run_benchmark(spec.workload)
     variants = {}
@@ -391,7 +507,7 @@ def _execute_bench(spec: JobSpec) -> dict:
             "outputs": digest_arrays(run.outputs),
             "ops": dataclasses.asdict(run.stats.ops),
         }
-    payload = {
+    return {
         "sim_time": result.opt_time,
         "variants": variants,
         "unopt_speedup": result.unopt_speedup,
@@ -400,42 +516,23 @@ def _execute_bench(spec: JobSpec) -> dict:
         "ok": result.outputs_match(),
         "error": None,
     }
-    if spec.trace:
-        payload["trace_events"] = _merged_trace_events(tracers)
-    return payload
 
 
-def _execute_faults(spec: JobSpec) -> dict:
-    from repro.faults.campaign import scenario_cell, validate_campaign_config
-    from repro.faults.policy import ResiliencePolicy
+def _execute_faults(spec: JobSpec, tracers: list) -> dict:
+    from repro.faults.campaign import scenario_cell
 
-    rates = dict(spec.rates) or None
-    try:
-        policy = ResiliencePolicy(**dict(spec.policy))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad policy for faults job: {exc}")
-    validate_campaign_config(rates, policy, spec.devices)
-    tracer = None
-    tracers = []
-    if spec.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        tracers.append((spec.label(), tracer))
     outcome = scenario_cell(
         spec.workload, spec.scenario, spec.seed or 0, spec.variant,
-        spec.engine, rates, policy, tracer, spec.devices,
+        spec.engine, dict(spec.rates) or None, check_policy(spec.policy),
+        _job_tracer(spec, tracers), spec.devices,
     )
-    payload = {
+    return {
         "sim_time": outcome.time,
         "outcome": outcome.as_dict(),
         "fault_stats": outcome.stats.as_dict(),
         "ok": outcome.ok,
         "error": outcome.error,
     }
-    if spec.trace:
-        payload["trace_events"] = _merged_trace_events(tracers)
-    return payload
 
 
 _EXECUTORS = {
@@ -455,7 +552,10 @@ def execute_job(payload: dict) -> dict:
     """
     spec = JobSpec.from_dict(payload)
     spec.validate()
-    result = _EXECUTORS[spec.kind](spec)
+    tracers: list = []
+    result = _EXECUTORS[spec.kind](spec, tracers)
+    if spec.trace:
+        result["trace_events"] = merged_trace_events(tracers)
     result["kind"] = spec.kind
     result["label"] = spec.label()
     result["key_id"] = spec.key_id()

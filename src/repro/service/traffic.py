@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.service.jobs import JobSpec, _pairs
+from repro.service.jobs import JobSpec, _pairs, check_policy
 
 #: Job-class priorities: interactive runs preempt batch suites, which
 #: preempt chaos probes (lower value runs first).
@@ -162,6 +162,13 @@ class TraceSpec:
                     f"unknown job class {kind!r}: valid classes are "
                     + ", ".join(sorted(CLASS_PRIORITY))
                 )
+        # The chaos class's jobs carry these; reject them here, with the
+        # checks JobSpec.validate applies, before any job runs.
+        from repro.faults.campaign import validate_campaign_config
+
+        validate_campaign_config(
+            dict(self.rates), check_policy(self.policy), self.devices
+        )
 
     @property
     def effective_high_water(self) -> int:
@@ -228,6 +235,21 @@ def _tenant_weights(spec: TraceSpec) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _job(spec: TraceSpec, kind: str, tenant: int, **fields) -> JobSpec:
+    """One arrival's job: *fields* plus what every class takes from the
+    trace spec (seed, engine, fleet, tracing) and from its tenant."""
+    return JobSpec(
+        kind=kind,
+        seed=spec.seed,
+        engine=spec.engine,
+        devices=spec.devices,
+        trace=spec.traced,
+        priority=CLASS_PRIORITY[kind],
+        tenant=f"t{tenant}",
+        **fields,
+    )
+
+
 def _run_spec(spec: TraceSpec, rng: np.random.Generator, tenant: int) -> JobSpec:
     """An interactive MiniC job with a tenant-skewed (quantized) size."""
     template_name = sorted(MINIC_TEMPLATES)[int(rng.integers(len(MINIC_TEMPLATES)))]
@@ -235,18 +257,12 @@ def _run_spec(spec: TraceSpec, rng: np.random.Generator, tenant: int) -> JobSpec
     # sizes quantize to a small set so identical requests recur (and
     # exercise the shared result store).
     size = 32 * (tenant + 1) * int(2 ** rng.integers(0, 3))
-    return JobSpec(
-        kind="run",
+    return _job(
+        spec, "run", tenant,
         source=MINIC_TEMPLATES[template_name].format(n=size),
         arrays=(f"A={size}:float:arange", f"B={size}:float:zeros"),
         scalars=(f"n={size}",),
         optimize=bool(rng.integers(2)),
-        seed=spec.seed,
-        engine=spec.engine,
-        devices=spec.devices,
-        trace=spec.traced,
-        priority=CLASS_PRIORITY["run"],
-        tenant=f"t{tenant}",
     )
 
 
@@ -254,35 +270,20 @@ def _bench_spec(spec: TraceSpec, rng: np.random.Generator, tenant: int) -> JobSp
     from repro.workloads.suite import workload_names
 
     names = sorted(workload_names())
-    return JobSpec(
-        kind="bench",
-        workload=names[int(rng.integers(len(names)))],
-        seed=spec.seed,
-        engine=spec.engine,
-        devices=spec.devices,
-        trace=spec.traced,
-        priority=CLASS_PRIORITY["bench"],
-        tenant=f"t{tenant}",
-    )
+    return _job(spec, "bench", tenant, workload=names[int(rng.integers(len(names)))])
 
 
 def _faults_spec(spec: TraceSpec, rng: np.random.Generator, tenant: int) -> JobSpec:
     from repro.workloads.suite import workload_names
 
     names = sorted(workload_names())
-    return JobSpec(
-        kind="faults",
+    return _job(
+        spec, "faults", tenant,
         workload=names[int(rng.integers(len(names)))],
         variant="opt",
         scenario=int(rng.integers(max(1, spec.scenarios))),
-        seed=spec.seed,
-        engine=spec.engine,
-        devices=spec.devices,
         rates=spec.rates,
         policy=spec.policy,
-        trace=spec.traced,
-        priority=CLASS_PRIORITY["faults"],
-        tenant=f"t{tenant}",
     )
 
 

@@ -106,6 +106,28 @@ def test_overflowing_exp_raises_without_a_warning():
             run_program("void main() { x = exp(1000.0); }", engine="tree")
 
 
+def test_masked_off_lane_overflow_is_silent_on_codegen():
+    # Lane 1 fails the guard, so the tree never multiplies it; codegen
+    # computes every lane and must not warn about the one it discards
+    # (CI runs this file with -W error::RuntimeWarning).
+    source = (
+        "void main() {\n#pragma omp parallel for\n"
+        "    for (int i = 0; i < 4; i++) { float x = 0.0; "
+        "if (a[i] < 1.0) { x = a[i] * 1e300; } out[i] = x; }\n}\n"
+    )
+    results = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for engine in ("tree", "codegen"):
+            arrays = {"a": np.array([0.5, 1e10, 0.25, 3.0]), "out": np.zeros(4)}
+            result = run_program(source, arrays=arrays, engine=engine)
+            results[engine] = (arrays["out"].tobytes(), result.stats)
+    assert results["codegen"][1].engine_loops["codegen"] == 1
+    assert results["codegen"][0] == results["tree"][0]
+    assert results["codegen"][1].ops == results["tree"][1].ops
+    assert results["codegen"][1].total_time == results["tree"][1].total_time
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_assigning_a_scalar_to_a_host_array_raises(engine):
     arrays = {"A": np.arange(4.0)}

@@ -282,6 +282,52 @@ class TestServiceRecovery:
         assert recovery["recovered_jobs"] == 0
         assert recovery["dropped_corrupt"] == 2
 
+    def test_malformed_specs_rejected_before_the_journal(self, tmp_path):
+        # Specs only a worker could fail on are refused at submit: never
+        # journaled, never dispatched, and never counted against the
+        # tenant's circuit breaker.
+        from repro.service.journal import replay_journal
+
+        state = str(tmp_path / "state")
+        malformed = [
+            JobSpec(kind="faults", workload="nn", rates=(("bogus", 0.1),)),
+            JobSpec(kind="faults", workload="nn",
+                    policy=(("no_such_knob", 1),)),
+            run_spec(arrays=("A=abc",)),
+        ]
+
+        async def scenario(service):
+            for spec in malformed:
+                with pytest.raises(ValueError, match="--rate|--policy|--array"):
+                    service.submit(spec)
+            return service.snapshot()
+
+        snapshot = run_service(
+            scenario, workers=0, state_dir=state, breaker_failures=1
+        )
+        counters = snapshot["metrics"]["counters"]
+        assert counters.get("service.jobs.submitted", 0) == 0
+        assert counters.get("service.jobs.failed", 0) == 0
+        assert snapshot["tenants"] == {}  # no breaker saw a failure
+        replay = replay_journal(os.path.join(state, "journal.jsonl"))
+        assert replay.accepted == 0
+
+    def test_pending_spec_that_no_longer_validates_dropped(self, tmp_path):
+        # A spec journaled before the validator checked fault rates can
+        # never run: recovery drops and counts it instead of re-admitting.
+        state = str(tmp_path / "state")
+        stale = JobSpec(kind="faults", workload="nn", rates=(("bogus", 0.1),))
+        journal = JobJournal(os.path.join(state, "journal.jsonl"), sync="off")
+        journal.append_accepted(stale.key_sha(), stale.as_dict())
+        journal.close()
+
+        async def scenario(service):
+            return dict(service.recovery)
+
+        recovery = run_service(scenario, workers=0, state_dir=state)
+        assert recovery["recovered_jobs"] == 0
+        assert recovery["dropped_corrupt"] == 1
+
     def test_snapshot_reports_durability(self, tmp_path):
         state = str(tmp_path / "state")
 

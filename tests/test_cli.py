@@ -573,6 +573,129 @@ class TestValidationErrorPaths:
             main(["run", source_file, "--scalar", "n=eight"])
 
 
+#: Malformed inputs: (CLI flags, JobSpec/TraceSpec fields, flag named).
+#: Rate, policy and device rows reach every entry point that takes
+#: those flags; array rows reach ``run``, ``submit --kind run`` and a
+#: run JobSpec.
+BAD_INPUTS = {
+    "rate not a number": (["--rate", "h2d=abc"], {"rates": (("h2d", "abc"),)}, "--rate"),
+    "unknown site": (["--rate", "bogus=0.1"], {"rates": (("bogus", 0.1),)}, "--rate"),
+    "rate above one": (["--rate", "h2d=2.0"], {"rates": (("h2d", 2.0),)}, "--rate"),
+    "device key on one card": (
+        ["--rate", "dev0:h2d=0.1"], {"rates": (("dev0:h2d", 0.1),)}, "--rate",
+    ),
+    "unknown policy key": (
+        ["--policy", "no_such_knob=1"], {"policy": (("no_such_knob", 1),)},
+        "--policy",
+    ),
+    "bad policy value": (
+        ["--policy", "checkpoint_interval=lots"],
+        {"policy": (("checkpoint_interval", "lots"),)}, "--policy",
+    ),
+    "bad policy combination": (
+        ["--policy", "backoff_max=0.000001"],
+        {"policy": (("backoff_max", 0.000001),)}, "--policy",
+    ),
+    "unknown dtype": (["--array", "A=4:quad"], {"arrays": ("A=4:quad",)}, "--array"),
+    "negative size": (
+        ["--array", "A=-3:float:zeros"], {"arrays": ("A=-3:float:zeros",)},
+        "--array",
+    ),
+    "no devices": (["--devices", "0"], {"devices": 0}, "--devices"),
+}
+ARRAY_ROWS = ("unknown dtype", "negative size")
+FLEET_ROWS = [name for name in BAD_INPUTS if name not in ARRAY_ROWS]
+RUN_ROWS = [*ARRAY_ROWS, "no devices"]
+
+
+def _repro(*argv):
+    """Run ``python -m repro`` in a child process on this package."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+    )
+
+
+class TestMalformedInput:
+    """Every entry point rejects each malformed input it accepts before
+    any work starts: exit 1 with one line naming the flag, no traceback."""
+
+    def assert_rejected_in_process(self, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str)  # printed to stderr, exit status 1
+        assert flag in message and "\n" not in message
+
+    def assert_rejected_in_child(self, flag, *argv):
+        proc = _repro(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and flag in lines[0]
+
+    @pytest.mark.parametrize("row", FLEET_ROWS)
+    def test_faults(self, row, monkeypatch):
+        import repro.faults
+
+        flags, _, flag = BAD_INPUTS[row]
+        monkeypatch.setattr(repro.faults, "run_campaign", None)  # never reached
+        self.assert_rejected_in_process(
+            ["faults", "nn", "--scenarios", "1", *flags], flag
+        )
+
+    @pytest.mark.parametrize("row", RUN_ROWS)
+    def test_run(self, row, source_file, monkeypatch):
+        import repro.cli
+
+        flags, _, flag = BAD_INPUTS[row]
+        monkeypatch.setattr(repro.cli, "Machine", None)  # never reached
+        self.assert_rejected_in_process(
+            ["run", source_file, "--scalar", "n=4", *flags], flag
+        )
+
+    @pytest.mark.parametrize("row", list(BAD_INPUTS))
+    def test_submit(self, row, source_file):
+        # Exit 1, not 69: the spec is rejected before any connection.
+        flags, _, flag = BAD_INPUTS[row]
+        if row in ARRAY_ROWS:
+            job = ["--kind", "run", "--file", source_file]
+        else:
+            job = ["--kind", "faults", "--workload", "nn"]
+        self.assert_rejected_in_child(flag, "submit", "--port", "1", *job, *flags)
+
+    @pytest.mark.parametrize("row", FLEET_ROWS)
+    def test_replay_trace(self, row):
+        flags, _, flag = BAD_INPUTS[row]
+        self.assert_rejected_in_child(
+            flag, "replay-trace", "--requests", "2", *flags
+        )
+
+    @pytest.mark.parametrize("row", list(BAD_INPUTS))
+    def test_job_spec_validate(self, row):
+        from repro.service.jobs import JobSpec
+
+        _, fields, flag = BAD_INPUTS[row]
+        if row in ARRAY_ROWS:
+            spec = JobSpec(kind="run", source=SOURCE, **fields)
+        else:
+            spec = JobSpec(kind="faults", workload="nn", **fields)
+        with pytest.raises(ValueError, match=flag):
+            spec.validate()
+
+    @pytest.mark.parametrize("row", FLEET_ROWS)
+    def test_trace_spec(self, row):
+        from repro.service.traffic import TraceSpec
+
+        _, fields, flag = BAD_INPUTS[row]
+        with pytest.raises(ValueError, match=flag):
+            TraceSpec(requests=2, **fields)
+
+
 class TestFaultsExitCodes:
     def test_partial_campaign_exits_with_distinct_code(self, monkeypatch):
         from repro.cli import EXIT_PARTIAL
